@@ -180,29 +180,6 @@ class ApplicationModel:
             interference=interference,
         )
 
-    def steps_until_change(self, plan: RankWorkPlan) -> int:
-        """Number of upcoming steps whose timing inputs are all identical.
-
-        Counts the run of steps from the plan's cursor that share the current
-        step's phase and per-step work units: under a fixed mask every step of
-        such a segment has the same duration and IPC, so a batch can price the
-        whole segment with one :meth:`step_time` call.  Returns 0 on a
-        finished plan.
-        """
-        steps = plan.steps
-        i = plan.next_step
-        end = len(steps)
-        if i >= end:
-            return 0
-        head = steps[i]
-        j = i + 1
-        while j < end and (
-            steps[j] is head
-            or (steps[j].phase is head.phase and steps[j].work_units == head.work_units)
-        ):
-            j += 1
-        return j - i
-
     def step_times(
         self,
         plan: RankWorkPlan,

@@ -187,19 +187,6 @@ class FairnessSummary:
     p95_slowdown: float
     max_slowdown: float
 
-    def to_dict(self) -> dict:
-        return {
-            "njobs": self.njobs,
-            "started": self.started,
-            "mean_wait": self.mean_wait,
-            "p50_wait": self.p50_wait,
-            "p95_wait": self.p95_wait,
-            "max_wait": self.max_wait,
-            "p50_slowdown": self.p50_slowdown,
-            "p95_slowdown": self.p95_slowdown,
-            "max_slowdown": self.max_slowdown,
-        }
-
 
 def fairness_from_rows(rows: Iterable[JobLifecycleRecord]) -> FairnessSummary:
     """Aggregate lifecycle rows into a :class:`FairnessSummary` — shared by

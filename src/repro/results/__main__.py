@@ -28,6 +28,7 @@ import sys
 
 from repro.results.query import diff_stores, render_diff, render_entry, render_store_table
 from repro.results.store import DEFAULT_STORE_ROOT, ResultStore
+from repro.store import add_gc_arguments, run_gc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,37 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     gc = sub.add_parser("gc", help="collect entries (dry run without --delete)")
     gc.add_argument("--store", default=str(DEFAULT_STORE_ROOT),
                     help=f"store root (default {DEFAULT_STORE_ROOT})")
-    gc.add_argument("--scenario", default=None,
-                    help="also collect entries of this scenario")
-    gc.add_argument("--workload-contains", default=None, metavar="SUBSTRING",
-                    help="also collect entries whose workload label contains this")
-    gc.add_argument("--all", action="store_true",
-                    help="collect every entry")
-    gc.add_argument("--lru", type=int, default=None, metavar="BYTES",
-                    help="evict least-recently-read entries until the "
-                         "survivors total at most BYTES")
-    gc.add_argument("--max-age", type=float, default=None, metavar="SECONDS",
-                    help="also collect entries whose file is older than this")
-    gc.add_argument("--delete", action="store_true",
-                    help="actually delete (default: dry run)")
+    add_gc_arguments(gc, "entries")
     return parser
-
-
-def _gc_predicate(args: argparse.Namespace):
-    if args.all:
-        return lambda entry: True
-    if args.scenario is None and args.workload_contains is None:
-        return None  # only unreadable/old-format entries
-    def predicate(entry) -> bool:
-        if args.scenario is not None and entry.contents["scenario"] != args.scenario:
-            return False
-        if (
-            args.workload_contains is not None
-            and args.workload_contains not in entry.run.workload.label
-        ):
-            return False
-        return True
-    return predicate
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -163,18 +135,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"after merging {trace_total}")
         return 0
     if args.command == "gc":
-        store = ResultStore(args.store)
-        removed = store.gc(
-            _gc_predicate(args),
-            dry_run=not args.delete,
-            lru_bytes=args.lru,
-            max_age=args.max_age,
-        )
-        verb = "removed" if args.delete else "would remove"
-        print(f"gc {store.root}: {verb} {len(removed)} entr(y/ies)")
-        for key in removed:
-            print(f"  {key[:12]}")
-        return 0
+        return run_gc(ResultStore(args.store), args, "entr(y/ies)")
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

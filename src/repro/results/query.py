@@ -14,14 +14,6 @@ from repro.experiments.tables import render_table
 from repro.results.store import ResultStore, StoreEntry
 
 
-def _entry_policy(entry: StoreEntry) -> str:
-    return entry.contents["policy"] or "default"
-
-
-def _entry_scheduler(entry: StoreEntry) -> str:
-    return entry.run.scheduler.label
-
-
 def render_store_table(
     store: ResultStore, limit: int | None = None, prefix: str | None = None
 ) -> str:

@@ -26,7 +26,6 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
 
 from repro.campaign.runner import RunMetrics
 from repro.campaign.spec import (
@@ -40,10 +39,8 @@ from repro.campaign.spec import (
     WorkloadRef,
 )
 from repro.obs.log import get_logger
-from repro.store.index import IndexEntry, StoreIndex
+from repro.store.content import ContentStore
 from repro.workload.generator import AppMixEntry, SizeMixEntry, WorkloadSpec
-
-_log = get_logger("results.store")
 
 #: Default persistent location (gitignored; see ``.gitignore``).
 DEFAULT_STORE_ROOT = Path("benchmarks") / "results" / "store"
@@ -159,7 +156,10 @@ def _pairs_from_payload(payload: list) -> tuple[tuple[str, float], ...]:
     return tuple((label, value) for label, value in payload)
 
 
-def _metrics_to_payload(row: RunMetrics) -> dict:
+def metrics_to_payload(row: RunMetrics) -> dict:
+    """A row's metrics as the JSON-able payload the store writes — also the
+    executor transport's (:mod:`repro.exec.worker`) wire format: floats
+    serialise via ``repr``, so rows survive the round trip byte-for-byte."""
     return {
         "workload_name": row.workload_name,
         "total_run_time": row.total_run_time,
@@ -172,7 +172,8 @@ def _metrics_to_payload(row: RunMetrics) -> dict:
     }
 
 
-def _metrics_from_payload(run: RunSpec, payload: dict) -> RunMetrics:
+def metrics_from_payload(run: RunSpec, payload: dict) -> RunMetrics:
+    """Inverse of :func:`metrics_to_payload`, bound to ``run``."""
     return RunMetrics(
         run=run,
         workload_name=payload["workload_name"],
@@ -184,53 +185,6 @@ def _metrics_from_payload(run: RunSpec, payload: dict) -> RunMetrics:
         run_times=_pairs_from_payload(payload["run_times"]),
         job_utilisation=_pairs_from_payload(payload["job_utilisation"]),
     )
-
-
-#: Public aliases for the executor transport (:mod:`repro.exec.worker`), which
-#: ships :class:`RunMetrics` rows as JSON across subprocess/SSH boundaries
-#: using exactly the store's serialisation (floats via ``repr``, so rows
-#: survive the round trip byte-for-byte).
-metrics_to_payload = _metrics_to_payload
-metrics_from_payload = _metrics_from_payload
-
-
-# -- index summaries ------------------------------------------------------------------
-
-
-def _summarise_entry(payload: dict) -> dict | None:
-    """The render-ready fields of one entry payload — everything the ``ls``
-    table prints, precomputed once at write/index time so listings never
-    rebuild N specs."""
-    try:
-        contents = payload["run"]
-        run = spec_from_contents(contents)
-        metrics = payload["metrics"]
-        return {
-            "scenario": contents["scenario"],
-            "workload": run.workload.label,
-            "cluster": run.cluster.label,
-            "policy": contents["policy"] or "default",
-            "scheduler": run.scheduler.label,
-            "total_run_time": metrics["total_run_time"],
-            "average_response_time": metrics["average_response_time"],
-        }
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _describe_entry(path: Path) -> tuple[object, dict | None]:
-    """Index rebuild callback: a file's format version and summary, with
-    every failure mapping to "present but not renderable" — never raises."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None, None
-    if not isinstance(payload, dict):
-        return None, None
-    version = payload.get("version")
-    if version != STORE_FORMAT_VERSION:
-        return version, None
-    return version, _summarise_entry(payload)
 
 
 # -- the store ------------------------------------------------------------------------
@@ -245,73 +199,69 @@ class StoreEntry:
     contents: dict
     metrics: dict
 
+    #: Entries only ever decode from the current format.
+    version = STORE_FORMAT_VERSION
+
     @property
     def run(self) -> RunSpec:
         return spec_from_contents(self.contents)
 
     def row(self, index: int = 0) -> RunMetrics:
-        return _metrics_from_payload(spec_from_contents(self.contents, index), self.metrics)
+        return metrics_from_payload(spec_from_contents(self.contents, index), self.metrics)
 
 
-class ResultStore:
-    """Content-addressed, mergeable store of :class:`RunMetrics` rows."""
+class ResultStore(ContentStore):
+    """Content-addressed, mergeable store of :class:`RunMetrics` rows.
+
+    Entries are whole-file JSON documents: a read parses the full file and
+    accepts only ``STORE_FORMAT_VERSION``."""
+
+    suffix = ".json"
+    format_version = STORE_FORMAT_VERSION
+    kind = "results"
+    _NOUN = "entry"
+    _UNITS = ("entry", "entries")
+    _READ_ERRORS = (OSError, ValueError, KeyError, TypeError)
+    _log = get_logger("results.store")
 
     def __init__(self, root: str | os.PathLike = DEFAULT_STORE_ROOT) -> None:
-        self.root = Path(root)
-        self._index: StoreIndex | None = None
+        super().__init__(root)
 
-    def __getstate__(self) -> dict:
-        # Stores ship into pool/SSH workers (WorkerContext); the index is
-        # per-process derived state and rebuilds lazily on the other side.
-        return {"root": self.root}
+    # Bound in this class's own namespace: the benchmark's per-layer timers
+    # (perfbench/layers.py) wrap ``ResultStore.__dict__["scan"]``.
+    scan = ContentStore.scan
 
-    def __setstate__(self, state: dict) -> None:
-        self.root = state["root"]
-        self._index = None
-
-    @property
-    def index(self) -> StoreIndex:
-        """The store's append-only JSONL index (derived metadata; the entry
-        files stay the only ground truth)."""
-        if self._index is None:
-            self._index = StoreIndex(
-                self.root,
-                suffix=".json",
-                store_version=STORE_FORMAT_VERSION,
-                describe=_describe_entry,
-                kind="results",
+    def _read_entry(self, key: str, data: bytes | None = None) -> StoreEntry:
+        path = self.path_for(key)
+        payload = json.loads(path.read_bytes() if data is None else data)
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if version != STORE_FORMAT_VERSION:
+            raise ValueError(
+                f"entry {key[:12]} has store format {version!r}, "
+                f"expected {STORE_FORMAT_VERSION}"
             )
-        return self._index
+        return StoreEntry(
+            key=key, path=path, contents=payload["run"], metrics=payload["metrics"]
+        )
 
-    # -- addressing --------------------------------------------------------------
-
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def scan(self) -> frozenset[str]:
-        """Every key present, from the index journal — O(1) filesystem work
-        on a warm store, one ``listdir`` + stat-diff after any write.
-
-        The campaign warm-scan and :meth:`merge` probe membership for N
-        cells against this one set.  Presence is name-level only — readers
-        still validate format on access, so a scanned key can turn out to
-        be a miss when its entry is stale — and the index self-heals from
-        the directory whenever it is missing, torn or disagrees with it.
-        """
-        if not self.root.is_dir():
-            return frozenset()
-        return self.index.scan()
-
-    def keys(self) -> list[str]:
-        return sorted(self.scan())
-
-    def __len__(self) -> int:
-        return len(self.scan())
-
-    def __contains__(self, run: RunSpec) -> bool:
-        return self.path_for(content_key(run)).exists()
-
-    # -- read/write --------------------------------------------------------------
+    @staticmethod
+    def _summarise(entry: StoreEntry) -> dict | None:
+        """The render-ready fields of one entry — everything the ``ls`` table
+        prints, precomputed once at write/index time so listings never
+        rebuild N specs."""
+        try:
+            run = entry.run
+            return {
+                "scenario": entry.contents["scenario"],
+                "workload": run.workload.label,
+                "cluster": run.cluster.label,
+                "policy": entry.contents["policy"] or "default",
+                "scheduler": run.scheduler.label,
+                "total_run_time": entry.metrics["total_run_time"],
+                "average_response_time": entry.metrics["average_response_time"],
+            }
+        except (KeyError, TypeError, ValueError):
+            return None
 
     def get(self, run: RunSpec, key: str | None = None) -> RunMetrics | None:
         """The stored row of ``run``'s cell, rebound to ``run``'s grid index,
@@ -319,218 +269,33 @@ class ResultStore:
         malformed entries — a bad cache entry must mean "re-simulate", never
         abort the campaign).  ``key`` is an optional precomputed
         ``content_key(run)`` so batch scans hash each spec once."""
-        if key is None:
-            key = content_key(run)
-        path = self.path_for(key)
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("version") != STORE_FORMAT_VERSION:
-                return None
-            row = _metrics_from_payload(run, payload["metrics"])
-        except (OSError, ValueError, KeyError, TypeError):
+        entry = self._lookup(content_key(run) if key is None else key)
+        if entry is None:
             return None
-        self.index.note_read(key)
+        try:
+            row = metrics_from_payload(run, entry.metrics)
+        except self._READ_ERRORS:
+            return None
+        self.index.note_read(entry.key)
         return row
 
     def put(self, row: RunMetrics) -> Path:
         """Persist one row under its content key (idempotent overwrite)."""
         key = content_key(row.run)
+        entry = StoreEntry(
+            key=key,
+            path=self.path_for(key),
+            contents=spec_contents(row.run),
+            metrics=metrics_to_payload(row),
+        )
         payload = {
             "version": STORE_FORMAT_VERSION,
             "key": key,
-            "run": spec_contents(row.run),
+            "run": entry.contents,
             "run_id": row.run.cell_id,
-            "metrics": _metrics_to_payload(row),
+            "metrics": entry.metrics,
         }
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        # Unique temp name + atomic rename: concurrent writers of the same
-        # cell (pool workers, campaign shards) cannot interleave bytes.
-        tmp = self.root / f".{key}.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        tmp.replace(path)
-        try:
-            st = path.stat()
-        except OSError:
-            st = None
-        if st is not None:
-            self.index.record_put(
-                key,
-                size=st.st_size,
-                mtime_ns=st.st_mtime_ns,
-                version=STORE_FORMAT_VERSION,
-                summary=_summarise_entry(payload),
-            )
-        _log.debug("put %s (%s)", key[:12], row.run.cell_id)
+        data = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        path = self._write(key, data.encode("utf-8"), entry)
+        self._log.debug("put %s (%s)", key[:12], row.run.cell_id)
         return path
-
-    def _read_entry(self, key: str) -> StoreEntry:
-        """Read one entry by exact key; raises ``ValueError``/``KeyError``/
-        ``OSError`` on unreadable, malformed or old-format files."""
-        path = self.path_for(key)
-        payload = json.loads(path.read_text())
-        if payload.get("version") != STORE_FORMAT_VERSION:
-            raise ValueError(
-                f"entry {key[:12]} has store format "
-                f"{payload.get('version')!r}, expected {STORE_FORMAT_VERSION}"
-            )
-        return StoreEntry(
-            key=key, path=path, contents=payload["run"], metrics=payload["metrics"]
-        )
-
-    def load(self, key: str) -> StoreEntry:
-        """Read one entry by (possibly abbreviated, unambiguous) key."""
-        matches = [k for k in self.keys() if k.startswith(key)]
-        if not matches:
-            raise KeyError(f"no entry with key {key!r} in {self.root}")
-        if len(matches) > 1:
-            raise KeyError(f"key {key!r} is ambiguous ({len(matches)} matches)")
-        entry = self._read_entry(matches[0])
-        self.index.note_read(matches[0])
-        return entry
-
-    def summaries(
-        self, prefix: str | None = None, limit: int | None = None
-    ) -> list[IndexEntry]:
-        """Render-ready listing rows straight from the index — one journal
-        read instead of N entry reads.  Keys whose file is stale or
-        unreadable (``summary is None``) are excluded, matching
-        :meth:`entries`'s visibility rule; rows come in key order."""
-        if not self.root.is_dir():
-            return []
-        rows = self.index.live_entries()
-        out: list[IndexEntry] = []
-        for key in sorted(rows):
-            if prefix is not None and not key.startswith(prefix):
-                continue
-            if rows[key].summary is None:
-                continue
-            out.append(rows[key])
-            if limit is not None and len(out) >= limit:
-                break
-        return out
-
-    def entries(self) -> Iterator[StoreEntry]:
-        """All live entries, sorted by key (corrupt or old-format files are
-        skipped — same visibility rule as :meth:`get`)."""
-        for key in self.keys():
-            try:
-                yield self._read_entry(key)
-            except (KeyError, ValueError, OSError):
-                continue
-
-    # -- maintenance -------------------------------------------------------------
-
-    def remove(self, key: str) -> None:
-        self.path_for(key).unlink(missing_ok=True)
-        self.index.record_remove(key)
-
-    def gc(
-        self,
-        predicate=None,
-        dry_run: bool = False,
-        lru_bytes: int | None = None,
-        max_age: float | None = None,
-        now: float | None = None,
-    ) -> list[str]:
-        """Collect entries: unreadable/old-format files always, plus any whose
-        :class:`StoreEntry` satisfies ``predicate``, plus the retention
-        policies' picks — ``max_age`` dooms entries whose file is older than
-        that many seconds, ``lru_bytes`` then evicts least-recently-read
-        entries until the survivors total at most that many bytes (recency
-        comes from the index's read tracking).  Returns removed keys."""
-        doomed: list[str] = []
-        for key in self.keys():
-            try:
-                entry = self._read_entry(key)
-            except (OSError, ValueError, KeyError):
-                doomed.append(key)
-                continue
-            if predicate is not None and predicate(entry):
-                doomed.append(key)
-        doomed.extend(
-            self.index.retention_doomed(
-                lru_bytes=lru_bytes, max_age=max_age, now=now, exclude=set(doomed)
-            )
-        )
-        if not dry_run:
-            for key in doomed:
-                self.remove(key)
-                _log.debug("gc removed %s", key[:12])
-        _log.info(
-            "gc %s %d of %d entr%s in %s",
-            "would remove" if dry_run else "removed",
-            len(doomed),
-            len(self.keys()) + (0 if dry_run else len(doomed)),
-            "y" if len(doomed) == 1 else "ies",
-            self.root,
-        )
-        return doomed
-
-    @staticmethod
-    def _parse_current_entry(text: str) -> dict | None:
-        """``text`` parsed as a current-format entry payload, else ``None``."""
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            return None
-        if isinstance(payload, dict) and payload.get("version") == STORE_FORMAT_VERSION:
-            return payload
-        return None
-
-    @classmethod
-    def _is_current_entry(cls, text: str) -> bool:
-        """Whether ``text`` is a readable, current-format entry payload."""
-        return cls._parse_current_entry(text) is not None
-
-    def merge(self, other: "ResultStore", overwrite: bool = False) -> int:
-        """Union another store's entries into this one (the campaign-sharding
-        merge path: shards fill disjoint key sets, the union is the campaign).
-
-        Returns the number of entries copied.  With ``overwrite=False`` keys
-        already present locally win, which is safe because entries are pure
-        functions of their key's spec.  Old-format or unreadable source
-        entries are never imported, and a stale local file never shadows a
-        current incoming one — cells whose serialised contents survived a
-        schema bump keep their key, so a pre-bump shard must not block the
-        post-bump entry.
-        """
-        copied = 0
-        present = self.scan()
-        for key in sorted(other.scan()):
-            target = self.path_for(key)
-            if not overwrite and key in present:
-                # Check the local side first: a warm re-merge (coordinator
-                # re-running after each shard lands) then skips without ever
-                # reading the source store — and the single-pass scan above
-                # means absent keys cost no filesystem probe at all.
-                try:
-                    if self._is_current_entry(target.read_text()):
-                        continue
-                except OSError:
-                    pass  # unreadable: the incoming entry wins
-            try:
-                data = other.path_for(key).read_text()
-            except OSError:
-                continue
-            payload = self._parse_current_entry(data)
-            if payload is None:
-                continue
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = self.root / f".{key}.{os.getpid()}.tmp"
-            tmp.write_text(data)
-            tmp.replace(target)
-            try:
-                st = target.stat()
-                self.index.record_put(
-                    key,
-                    size=st.st_size,
-                    mtime_ns=st.st_mtime_ns,
-                    version=STORE_FORMAT_VERSION,
-                    summary=_summarise_entry(payload),
-                )
-            except OSError:
-                pass  # the next scan reconciles the copied file in
-            copied += 1
-        _log.info("merged %d entr%s from %s", copied, "y" if copied == 1 else "ies", other.root)
-        return copied

@@ -31,6 +31,7 @@ from pathlib import Path
 
 from repro.experiments.tables import render_table
 from repro.results.sinks import pcf_text, prv_text, row_text
+from repro.store import add_gc_arguments, run_gc
 from repro.traces.query import TraceReader
 from repro.traces.store import DEFAULT_TRACE_ROOT, TraceEntry, TraceStore
 
@@ -76,18 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gc = sub.add_parser("gc", help="collect artifacts (dry run without --delete)")
     add_store(gc)
-    gc.add_argument("--scenario", default=None,
-                    help="also collect traces of this scenario")
-    gc.add_argument("--workload-contains", default=None, metavar="SUBSTRING",
-                    help="also collect traces whose workload label contains this")
-    gc.add_argument("--all", action="store_true", help="collect every artifact")
-    gc.add_argument("--lru", type=int, default=None, metavar="BYTES",
-                    help="evict least-recently-read artifacts until the "
-                         "survivors total at most BYTES")
-    gc.add_argument("--max-age", type=float, default=None, metavar="SECONDS",
-                    help="also collect artifacts whose file is older than this")
-    gc.add_argument("--delete", action="store_true",
-                    help="actually delete (default: dry run)")
+    add_gc_arguments(gc, "traces")
     return parser
 
 
@@ -238,23 +228,6 @@ def render_trace(entry: TraceEntry, bin_seconds: float) -> str:
     return "\n".join(lines)
 
 
-def _gc_predicate(args: argparse.Namespace):
-    if args.all:
-        return lambda entry: True
-    if args.scenario is None and args.workload_contains is None:
-        return None  # only unreadable/old-format artifacts
-    def predicate(entry: TraceEntry) -> bool:
-        if args.scenario is not None and entry.header["scenario"] != args.scenario:
-            return False
-        if (
-            args.workload_contains is not None
-            and args.workload_contains not in entry.run.workload.label
-        ):
-            return False
-        return True
-    return predicate
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     store = TraceStore(args.store)
@@ -293,17 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"exported {entry.key[:12]} -> {path}")
         return 0
     if args.command == "gc":
-        removed = store.gc(
-            _gc_predicate(args),
-            dry_run=not args.delete,
-            lru_bytes=args.lru,
-            max_age=args.max_age,
-        )
-        verb = "removed" if args.delete else "would remove"
-        print(f"gc {store.root}: {verb} {len(removed)} trace(s)")
-        for key in removed:
-            print(f"  {key[:12]}")
-        return 0
+        return run_gc(store, args, "trace(s)")
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

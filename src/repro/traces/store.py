@@ -33,8 +33,9 @@ straight to any segment and inflates only the time windows a query touches
 copy reads as a miss even though its header member is intact.  Floats
 serialise via ``repr`` and every member is written with a zeroed gzip
 mtime, so the same tracer always produces byte-identical artifacts —
-re-puts are idempotent, and shard stores merge by plain file union like the
-metrics tier.
+re-puts are idempotent, and shard stores merge by plain file union.  The
+store lifecycle itself (index, listings, ``gc``, ``merge``) is the shared
+:class:`~repro.store.ContentStore`.
 """
 
 from __future__ import annotations
@@ -47,16 +48,14 @@ import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.campaign.spec import RunSpec
 from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
 from repro.obs.log import get_logger
 from repro.obs.sched import SchedTimeline
 from repro.results.store import content_key, spec_contents, spec_from_contents
-from repro.store.index import IndexEntry, StoreIndex
-
-_log = get_logger("traces.store")
+from repro.store.content import ContentStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.workload.runner import ScenarioResult
@@ -91,19 +90,10 @@ TRACE_FORMAT_VERSION = 4
 #: older has a different record stream and reads as a miss.
 _COMPAT_VERSIONS = frozenset({3, TRACE_FORMAT_VERSION})
 
-_SUFFIX = ".jsonl.gz"
-
 #: Step records per segment member.  Small enough that an interval query
 #: over a million-step trace inflates a sliver, large enough that gzip
 #: still sees repetitive JSONL to compress well.
 DEFAULT_SEGMENT_STEPS = 2048
-
-#: Everything a read of a missing/corrupt/stale artifact can raise, and that
-#: must therefore read as a *miss* rather than abort a campaign: filesystem
-#: errors (``gzip.BadGzipFile`` is an ``OSError``), malformed JSON/headers,
-#: and truncated or bit-rotted compressed streams (``EOFError`` /
-#: ``zlib.error`` — e.g. an interrupted copy of a shard store).
-_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError, zlib.error)
 
 
 def _gzip_member(text: str) -> bytes:
@@ -132,6 +122,10 @@ class TraceEntry:
     header_bytes: int = 0
     #: Per-entry cache of inflated members (segment index or ``"mask"``).
     _inflated: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def version(self) -> int:
+        return self.header["version"]
 
     @property
     def contents(self) -> dict:
@@ -261,43 +255,26 @@ class TraceEntry:
         return tracer
 
 
-# -- index summaries ------------------------------------------------------------------
-
-
-def _summarise_header(header: dict) -> dict | None:
-    """The render-ready fields of one artifact header — everything the
-    ``ls`` table prints, precomputed at write/index time."""
-    try:
-        run = spec_from_contents(header["run"])
-        return {
-            "scenario": header["scenario"],
-            "workload": run.workload.label,
-            "nsteps": header["nsteps"],
-            "nmask_changes": header["nmask_changes"],
-            "end_time": header["end_time"],
-        }
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _describe_artifact(path: Path) -> tuple[object, dict | None]:
-    """Index rebuild callback: a file's format version and summary; every
-    failure maps to "present but not renderable" — never raises."""
-    try:
-        header, _ = TraceStore._header_span(path)
-    except _READ_ERRORS:
-        return None, None
-    return header.get("version"), _summarise_header(header)
-
-
-class TraceStore:
+class TraceStore(ContentStore):
     """Content-addressed, mergeable store of full run traces.
 
-    Mirrors :class:`~repro.results.store.ResultStore`'s contract: entries
-    are pure functions of their key's spec, reads never abort a campaign
-    (a bad artifact is a miss), writes are atomic, and :meth:`merge` is the
-    cross-host sharding union.
+    Reads are header-only: :meth:`_header_span` inflates just the first
+    gzip member and cross-checks the header's segment table against the
+    file's byte size, so ``get``, ``ls`` and ``gc`` never touch a body
+    byte and a truncated artifact still reads as a miss.
     """
+
+    suffix = ".jsonl.gz"
+    format_version = TRACE_FORMAT_VERSION
+    kind = "traces"
+    _NOUN = "trace"
+    _UNITS = ("artifact(s)", "artifact(s)")
+    #: Everything a read of a missing/corrupt/stale artifact can raise:
+    #: filesystem errors (``gzip.BadGzipFile`` is an ``OSError``), malformed
+    #: JSON/headers, and truncated or bit-rotted compressed streams
+    #: (``EOFError`` / ``zlib.error`` — e.g. an interrupted shard copy).
+    _READ_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError, zlib.error)
+    _log = get_logger("traces.store")
 
     def __init__(
         self,
@@ -306,89 +283,31 @@ class TraceStore:
     ) -> None:
         if segment_steps <= 0:
             raise ValueError("segment_steps must be positive")
-        self.root = Path(root)
+        super().__init__(root)
         self.segment_steps = segment_steps
-        self._index: StoreIndex | None = None
-
-    def __getstate__(self) -> dict:
-        # Stores ship into pool/SSH workers (WorkerContext); the index is
-        # per-process derived state and rebuilds lazily on the other side.
-        return {"root": self.root, "segment_steps": self.segment_steps}
-
-    def __setstate__(self, state: dict) -> None:
-        self.root = state["root"]
-        self.segment_steps = state["segment_steps"]
-        self._index = None
-
-    @property
-    def index(self) -> StoreIndex:
-        """The store's append-only JSONL index (derived metadata; the
-        artifact files stay the only ground truth)."""
-        if self._index is None:
-            self._index = StoreIndex(
-                self.root,
-                suffix=_SUFFIX,
-                store_version=TRACE_FORMAT_VERSION,
-                describe=_describe_artifact,
-                kind="traces",
-            )
-        return self._index
-
-    # -- addressing --------------------------------------------------------------
-
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}{_SUFFIX}"
-
-    def scan(self) -> frozenset[str]:
-        """Every key present, from the index journal — O(1) filesystem work
-        on a warm store, one ``listdir`` + stat-diff after any write.
-
-        Mirrors :meth:`ResultStore.scan`: the campaign warm-scan checks N
-        cells against this one set and only header-reads the members.
-        Presence is name-level only — a scanned key can still be a miss if
-        its artifact is stale or unreadable — and the index self-heals from
-        the directory whenever it is missing, torn or disagrees with it.
-        """
-        if not self.root.is_dir():
-            return frozenset()
-        return self.index.scan()
-
-    def keys(self) -> list[str]:
-        return sorted(self.scan())
-
-    def __len__(self) -> int:
-        return len(self.scan())
-
-    def __contains__(self, run: RunSpec) -> bool:
-        """Whether ``run``'s cell holds a readable, current-format trace."""
-        try:
-            self._header_span(self.path_for(content_key(run)))
-        except _READ_ERRORS:
-            return False
-        return True
-
-    # -- read/write --------------------------------------------------------------
 
     @staticmethod
-    def _header_span(path: Path) -> tuple[dict, int]:
-        """Parse and validate the header member; returns ``(header,
+    def _header_span(path: Path, data: bytes | None = None) -> tuple[dict, int]:
+        """Parse and validate the header member of the artifact at ``path``
+        (or of its bytes ``data``, already in memory); returns ``(header,
         compressed_length)``.
 
-        Cheap for v3 artifacts — only the small first member inflates — and
-        the validation cross-checks the header's segment table against the
-        file's actual byte size, so a truncated artifact fails here even
-        though its header member is intact.
+        Cheap — only the small first member inflates — and the validation
+        cross-checks the header's segment table against the artifact's
+        actual byte size, so a truncated artifact fails here even though
+        its header member is intact.
         """
         decomp = zlib.decompressobj(wbits=31)
         body = bytearray()
         consumed = 0
-        with open(path, "rb") as stream:
+        with open(path, "rb") if data is None else io.BytesIO(data) as stream:
             while not decomp.eof:
                 chunk = stream.read(65536)
                 if not chunk:
                     raise ValueError(f"{path} ends mid-member")
                 body += decomp.decompress(chunk)
                 consumed += len(chunk)
+            actual = stream.seek(0, io.SEEK_END)
         header_bytes = consumed - len(decomp.unused_data)
         header = json.loads(bytes(body).split(b"\n", 1)[0])
         if not isinstance(header, dict) or header.get("record") != "run":
@@ -404,7 +323,6 @@ class TraceStore:
             + int(header["mask_bytes"])
             + int(header.get("sched_bytes", 0))
         )
-        actual = path.stat().st_size
         if actual != expected:
             raise ValueError(
                 f"trace {path.name} holds {actual} byte(s), segment table "
@@ -412,28 +330,35 @@ class TraceStore:
             )
         return header, header_bytes
 
-    @classmethod
-    def _read_header(cls, path: Path) -> dict:
-        """Parse and validate the artifact's header (see :meth:`_header_span`)."""
-        return cls._header_span(path)[0]
-
-    def _entry(self, key: str, path: Path) -> TraceEntry:
-        header, header_bytes = self._header_span(path)
+    def _read_entry(self, key: str, data: bytes | None = None) -> TraceEntry:
+        path = self.path_for(key)
+        header, header_bytes = self._header_span(path, data)
         return TraceEntry(key=key, path=path, header=header, header_bytes=header_bytes)
+
+    @staticmethod
+    def _summarise(entry: TraceEntry) -> dict | None:
+        """The render-ready fields of one artifact header — everything the
+        ``ls`` table prints, precomputed at write/index time."""
+        header = entry.header
+        try:
+            return {
+                "scenario": header["scenario"],
+                "workload": entry.run.workload.label,
+                "nsteps": header["nsteps"],
+                "nmask_changes": header["nmask_changes"],
+                "end_time": header["end_time"],
+            }
+        except (KeyError, TypeError, ValueError):
+            return None
 
     def get(self, run: RunSpec, key: str | None = None) -> TraceEntry | None:
         """The stored trace of ``run``'s cell, or ``None`` on a miss
         (including unreadable, old-format or otherwise malformed artifacts —
         a bad cache entry must mean "re-simulate", never abort).  ``key`` is
         an optional precomputed ``content_key(run)``."""
-        if key is None:
-            key = content_key(run)
-        path = self.path_for(key)
-        try:
-            entry = self._entry(key, path)
-        except _READ_ERRORS:
-            return None
-        self.index.note_read(key)
+        entry = self._lookup(content_key(run) if key is None else key)
+        if entry is not None:
+            self.index.note_read(entry.key)
         return entry
 
     def put(self, run: RunSpec, result: "ScenarioResult") -> Path:
@@ -506,25 +431,9 @@ class TraceStore:
             + mask_blob
             + sched_blob
         )
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        # Unique temp name + atomic rename: concurrent writers of the same
-        # cell (pool workers, campaign shards) cannot interleave bytes.
-        tmp = self.root / f".{key}.{os.getpid()}.tmp"
-        tmp.write_bytes(data)
-        tmp.replace(path)
-        try:
-            st = path.stat()
-            self.index.record_put(
-                key,
-                size=st.st_size,
-                mtime_ns=st.st_mtime_ns,
-                version=TRACE_FORMAT_VERSION,
-                summary=_summarise_header(header),
-            )
-        except OSError:
-            pass  # the next scan reconciles the written file in
-        _log.debug(
+        entry = TraceEntry(key=key, path=self.path_for(key), header=header)
+        path = self._write(key, data, entry)
+        self._log.debug(
             "put %s (%s, %d step record(s), %d segment(s))",
             key[:12],
             run.cell_id,
@@ -532,136 +441,3 @@ class TraceStore:
             len(segment_table),
         )
         return path
-
-    def load(self, key: str) -> TraceEntry:
-        """Read one entry by (possibly abbreviated, unambiguous) key."""
-        matches = [k for k in self.keys() if k.startswith(key)]
-        if not matches:
-            raise KeyError(f"no trace with key {key!r} in {self.root}")
-        if len(matches) > 1:
-            raise KeyError(f"key {key!r} is ambiguous ({len(matches)} matches)")
-        entry = self._entry(matches[0], self.path_for(matches[0]))
-        self.index.note_read(matches[0])
-        return entry
-
-    def summaries(
-        self, prefix: str | None = None, limit: int | None = None
-    ) -> list[IndexEntry]:
-        """Render-ready listing rows straight from the index — one journal
-        read instead of N header reads.  Keys whose artifact is stale or
-        unreadable (``summary is None``) are excluded, matching
-        :meth:`entries`'s visibility rule; rows come in key order."""
-        if not self.root.is_dir():
-            return []
-        rows = self.index.live_entries()
-        out: list[IndexEntry] = []
-        for key in sorted(rows):
-            if prefix is not None and not key.startswith(prefix):
-                continue
-            if rows[key].summary is None:
-                continue
-            out.append(rows[key])
-            if limit is not None and len(out) >= limit:
-                break
-        return out
-
-    def entries(self) -> Iterator[TraceEntry]:
-        """All live entries, sorted by key (corrupt or old-format artifacts
-        are skipped — same visibility rule as :meth:`get`)."""
-        for key in self.keys():
-            try:
-                yield self._entry(key, self.path_for(key))
-            except _READ_ERRORS:
-                continue
-
-    # -- maintenance -------------------------------------------------------------
-
-    def remove(self, key: str) -> None:
-        self.path_for(key).unlink(missing_ok=True)
-        self.index.record_remove(key)
-
-    def gc(
-        self,
-        predicate=None,
-        dry_run: bool = False,
-        lru_bytes: int | None = None,
-        max_age: float | None = None,
-        now: float | None = None,
-    ) -> list[str]:
-        """Collect artifacts: unreadable/old-format files always, plus any
-        whose :class:`TraceEntry` satisfies ``predicate``, plus the
-        retention policies' picks (``max_age`` in seconds on the file's
-        mtime, then ``lru_bytes`` evicting least-recently-read artifacts
-        until the survivors fit the byte budget).  Returns removed keys."""
-        doomed: list[str] = []
-        for key in self.keys():
-            path = self.path_for(key)
-            try:
-                entry = self._entry(key, path)
-            except _READ_ERRORS:
-                doomed.append(key)
-                continue
-            if predicate is not None and predicate(entry):
-                doomed.append(key)
-        doomed.extend(
-            self.index.retention_doomed(
-                lru_bytes=lru_bytes, max_age=max_age, now=now, exclude=set(doomed)
-            )
-        )
-        if not dry_run:
-            for key in doomed:
-                self.remove(key)
-                _log.debug("gc removed %s", key[:12])
-        _log.info(
-            "gc %s %d of %d artifact(s) in %s",
-            "would remove" if dry_run else "removed",
-            len(doomed),
-            len(self.keys()) + (0 if dry_run else len(doomed)),
-            self.root,
-        )
-        return doomed
-
-    def merge(self, other: "TraceStore", overwrite: bool = False) -> int:
-        """Union another trace store's artifacts into this one — the
-        campaign-sharding transport, shipping traces alongside the metrics
-        tier's :meth:`~repro.results.store.ResultStore.merge`.
-
-        Returns the number of artifacts copied.  Same rules as the metrics
-        tier: local current-format entries win unless ``overwrite``, stale or
-        unreadable source artifacts are never imported, and a stale local
-        file never shadows a current incoming one.
-        """
-        copied = 0
-        present = self.scan()
-        for key in sorted(other.scan()):
-            target = self.path_for(key)
-            if not overwrite and key in present:
-                try:
-                    self._read_header(target)
-                    continue  # current local entry wins
-                except _READ_ERRORS:
-                    pass  # stale or unreadable: the incoming one wins
-            source = other.path_for(key)
-            try:
-                header = other._read_header(source)
-                data = source.read_bytes()
-            except _READ_ERRORS:
-                continue
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = self.root / f".{key}.{os.getpid()}.tmp"
-            tmp.write_bytes(data)
-            tmp.replace(target)
-            try:
-                st = target.stat()
-                self.index.record_put(
-                    key,
-                    size=st.st_size,
-                    mtime_ns=st.st_mtime_ns,
-                    version=TRACE_FORMAT_VERSION,
-                    summary=_summarise_header(header),
-                )
-            except OSError:
-                pass  # the next scan reconciles the copied file in
-            copied += 1
-        _log.info("merged %d artifact(s) from %s", copied, other.root)
-        return copied
