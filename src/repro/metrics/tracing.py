@@ -42,7 +42,7 @@ class StepRecord(NamedTuple):
         return self.start + self.duration
 
     def to_record(self) -> dict:
-        """JSON-able representation (the JSONL sink / trace-store schema).
+        """JSON-able representation (the JSONL sink / export schema).
 
         Floats serialise via ``repr`` (shortest-round-trip exact), so a step
         survives the JSON round trip with exact float equality.

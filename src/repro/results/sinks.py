@@ -37,8 +37,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 from repro.campaign.spec import RunSpec
 from repro.metrics.paraver import ParaverView
@@ -261,6 +262,20 @@ def read_prv(path: str | os.PathLike) -> tuple[str, list[str], list[str]]:
     return lines[0], states, events
 
 
+def jsonl_text(header: dict, tracer: Tracer, sched_records: Iterable[dict] = ()) -> str:
+    """A JSONL trace: ``header``, then the tracer's step records in canonical
+    order, its mask-change records and ``sched_records``, one sorted-key JSON
+    object per line — the format of :class:`JsonlTraceSink` files and of
+    ``python -m repro.traces export --format jsonl``."""
+    records = chain(
+        [header],
+        (step.to_record() for step in tracer),
+        (change.to_record() for change in tracer.mask_changes()),
+        sched_records,
+    )
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
 @dataclass(frozen=True)
 class JsonlTraceSink:
     """Writes one JSONL trace file per run under ``root``."""
@@ -279,18 +294,10 @@ class JsonlTraceSink:
             "workload": result.workload.name,
             "end_time": result.end_time,
         }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(
-            json.dumps(step.to_record(), sort_keys=True) for step in result.tracer
-        )
-        lines.extend(
-            json.dumps(change.to_record(), sort_keys=True)
-            for change in result.tracer.mask_changes()
-        )
         root = Path(self.root)
         root.mkdir(parents=True, exist_ok=True)
         path = root / f"{run_stem(run)}.jsonl"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(jsonl_text(header, result.tracer))
         return path
 
 

@@ -14,10 +14,12 @@ Subcommands::
 (through the same renderer as the live
 :class:`~repro.results.sinks.ParaverTraceSink`, so the bytes match a
 per-run sink export) with its ``.pcf``/``.row`` companion files so the
-real Paraver UI can open it, or the decompressed JSONL record stream.
-File names use the content key alone, so re-exports overwrite instead of
-accumulating.  ``show --head N`` and windowed queries route through the
-v3 artifact's segment table, inflating only the slices they touch.
+real Paraver UI can open it, or the JSONL record stream (the header, then
+the step, mask-change and scheduler records, one sorted-key JSON object per
+line), rendered from the artifact's binary step columns.  File names use the
+content key alone, so re-exports overwrite instead of accumulating.
+``show --head N`` and windowed queries route through the artifact's segment
+table, inflating only the slices they touch.
 ``gc`` is a dry run unless ``--delete`` is given; unreadable or old-format
 artifacts are always candidates.
 """
@@ -25,12 +27,11 @@ artifacts are always candidates.
 from __future__ import annotations
 
 import argparse
-import gzip
 import sys
 from pathlib import Path
 
 from repro.experiments.tables import render_table
-from repro.results.sinks import pcf_text, prv_text, row_text
+from repro.results.sinks import jsonl_text, pcf_text, prv_text, row_text
 from repro.store import add_gc_arguments, run_gc
 from repro.traces.query import TraceReader
 from repro.traces.store import DEFAULT_TRACE_ROOT, TraceEntry, TraceStore
@@ -145,10 +146,7 @@ def render_trace_sched(entry: TraceEntry) -> str:
     ``sched`` member (zero simulation, no step segment inflates)."""
     timeline = entry.sched
     if not len(timeline):
-        return (
-            "(no scheduler records — artifact predates trace format v4; "
-            "re-run the cell to backfill it)"
-        )
+        return "(no scheduler records in this artifact)"
     lines = [
         render_table(
             ["Job", "Submit (s)", "Start (s)", "End (s)", "Wait (s)",
@@ -262,7 +260,9 @@ def main(argv: list[str] | None = None) -> int:
             (out / f"{stem}.row").write_text(row_text(entry.tracer))
         else:
             path = out / f"{stem}.jsonl"
-            path.write_bytes(gzip.decompress(entry.path.read_bytes()))
+            path.write_text(
+                jsonl_text(entry.header, entry.tracer, entry.sched_records())
+            )
         print(f"exported {entry.key[:12]} -> {path}")
         return 0
     if args.command == "gc":

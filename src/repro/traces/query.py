@@ -56,7 +56,7 @@ class TraceReader:
             dict(source.header) if isinstance(source, TraceEntry) else {}
         )
         #: Scheduler timeline for live tracers (stored entries carry their
-        #: own ``sched`` member; pre-v4 artifacts read as an empty timeline).
+        #: own ``sched`` member).
         self._sched = sched
 
     @cached_property
@@ -125,7 +125,7 @@ class TraceReader:
         (``start <= hi and end >= lo``), in canonical ``(start, job, rank)``
         order, optionally restricted to one job/rank.
 
-        On a stored v3 artifact whose full tracer has not yet been
+        On a stored artifact whose full tracer has not yet been
         assembled, this routes through the entry's segment table and
         inflates only the segments whose time window overlaps the query —
         the results are identical to filtering the fully inflated tracer.
@@ -259,7 +259,7 @@ class ScenarioReplay:
 
     @property
     def sched(self) -> SchedTimeline:
-        """The stored scheduler timeline (empty for pre-v4 artifacts)."""
+        """The stored scheduler timeline."""
         return self.entry.sched
 
     @property

@@ -4,51 +4,67 @@ The metrics tier (:class:`~repro.results.store.ResultStore`) memoises the
 compact :class:`~repro.campaign.runner.RunMetrics` row of every campaign
 cell; this module adds the second tier the trace-derived figures (3, 5, 13,
 14) need: every executed run's full :class:`~repro.metrics.tracing.Tracer`
-persists as one gzip-compressed JSONL artifact keyed by the **same**
+persists as one gzip-compressed artifact keyed by the **same**
 :func:`~repro.results.store.content_key` as the metrics entry.  The two
 tiers thus address the same cell by the same hash — a key found in both
 means "this simulation's reporting is fully reconstructable without
 re-simulating".
 
-Artifact layout (format v4): one ``<key>.jsonl.gz`` file per cell, written
-as a sequence of **concatenated gzip members** — a valid multi-member gzip
-stream, so ``gzip.decompress`` of the whole file still yields the flat JSONL
-record stream:
+Artifact layout (format v5): one ``<key>.jsonl.gz`` file per cell, written
+as a sequence of **concatenated gzip members**:
 
-* the first member holds the versioned run header line (spec contents,
-  scenario, workload name, end time, cycles/µs calibration) — including a
-  ``segments`` table of time-windowed step chunks (first start, last end,
-  record count, compressed byte length) plus the mask and sched members'
-  byte lengths;
+* the first member holds the versioned run header, one sorted-key JSON
+  object (spec contents, scenario, workload name, end time, cycles/µs
+  calibration) — including a ``segments`` table of time-windowed step
+  chunks (first start, last end, record count, compressed byte length) plus
+  the mask and sched members' byte lengths;
 * one member per step segment: up to ``segment_steps`` step records in the
-  tracer's canonical ``(start, job, rank)`` order;
-* one member with the mask-change records (omitted when there are none);
+  tracer's canonical ``(start, job, rank)`` order, as binary columns (see
+  :func:`encode_steps`);
+* one member with the mask-change records, one sorted-key JSON list
+  (omitted when there are none);
 * one final member with the scheduler-timeline records (queue samples, node
-  allocation samples, job lifecycle rows — see :mod:`repro.obs.sched`;
-  omitted when the run recorded none, as v3 artifacts always did).
+  allocation samples, job lifecycle rows — see :mod:`repro.obs.sched`), one
+  sorted-key JSON list (omitted when the run recorded none).
+
+A step segment is a little-endian prefix of the row count and the byte
+length of each of its eleven parts, then the parts: a JSON string table of
+the segment's job, node and phase labels in first-seen order; ``int64``
+columns ``job``, ``node`` and ``phase`` (indices into the table), ``rank``
+and ``nthreads``; ``float64`` columns ``start``, ``duration``, ``ipc``,
+``work_units``; and the flattened ``thread_utilisation`` tuples, sliced per
+row by ``nthreads``.  Columns are IEEE doubles written bit-for-bit, so every
+float (``-0.0``, ``nan`` and subnormals included) survives exactly and the
+replayed views stay byte-identical to the live ones.  The byte order is
+fixed, so artifacts written on any host are interchangeable.
 
 Because the header carries every member's compressed length, a reader seeks
 straight to any segment and inflates only the time windows a query touches
 — and validates the artifact's total byte size up front, so a truncated
-copy reads as a miss even though its header member is intact.  Floats
-serialise via ``repr`` and every member is written with a zeroed gzip
-mtime, so the same tracer always produces byte-identical artifacts —
-re-puts are idempotent, and shard stores merge by plain file union.  The
-store lifecycle itself (index, listings, ``gc``, ``merge``) is the shared
+copy reads as a miss even though its header member is intact.  Every member
+is written with a zeroed gzip mtime at a fixed level, so the same tracer
+always produces byte-identical artifacts — re-puts are idempotent, and shard
+stores merge by plain file union.  ``gzip -d`` of an artifact yields the
+header JSON followed by binary data; ``python -m repro.traces export
+--format jsonl`` renders the JSONL record stream instead.  The store
+lifecycle itself (index, listings, ``gc``, ``merge``) is the shared
 :class:`~repro.store.ContentStore`.
 """
 
 from __future__ import annotations
 
-import gzip
 import io
 import json
 import os
+import struct
+import sys
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.campaign.spec import RunSpec
 from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
@@ -65,9 +81,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
 DEFAULT_TRACE_ROOT = Path("benchmarks") / "results" / "traces"
 
 #: Bumped whenever the artifact layout or the content-hash inputs change;
-#: old artifacts are then cache misses and ``gc`` collects them.  The hash
-#: inputs are shared with the metrics tier, so a metrics schema bump that
-#: changes :func:`~repro.results.store.spec_contents` must bump this too.
+#: old artifacts are then cache misses (re-simulated on the next campaign)
+#: and ``gc`` collects them.  The hash inputs are shared with the metrics
+#: tier, so a metrics schema bump that changes
+#: :func:`~repro.results.store.spec_contents` must bump this too.
 #:
 #: Version history:
 #:
@@ -81,27 +98,139 @@ DEFAULT_TRACE_ROOT = Path("benchmarks") / "results" / "traces"
 #:   stream is unchanged from v2.
 #: * 4 — optional trailing ``sched`` member holding the scheduler timeline
 #:   (queue/node/lifecycle records) with its byte length in the header's
-#:   ``sched_bytes``.  Strictly additive, so v3 artifacts stay readable
-#:   (they simply expose an empty timeline) — see ``_COMPAT_VERSIONS``.
-TRACE_FORMAT_VERSION = 4
-
-#: Formats the reader accepts.  v3 is a pure prefix of v4 (no sched member,
-#: no ``sched_bytes`` header field), so accepting it costs nothing; anything
-#: older has a different record stream and reads as a miss.
-_COMPAT_VERSIONS = frozenset({3, TRACE_FORMAT_VERSION})
+#:   ``sched_bytes``.
+#: * 5 — step segments hold binary columns instead of one JSON line per
+#:   step; the mask and sched members hold one JSON list each; every member
+#:   compresses at level 6.  The member sequence and the header's byte
+#:   table are unchanged.  Older artifacts read as misses.
+TRACE_FORMAT_VERSION = 5
 
 #: Step records per segment member.  Small enough that an interval query
 #: over a million-step trace inflates a sliver, large enough that gzip
-#: still sees repetitive JSONL to compress well.
+#: still sees long runs of repetitive column values.
 DEFAULT_SEGMENT_STEPS = 2048
 
+#: Header of every gzip member: no flags, mtime 0, no extra flags, OS
+#: "unknown" — spelled out rather than left to :mod:`gzip`, so the bytes
+#: cannot change with the Python version.
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
+_GZIP_LEVEL = 6
 
-def _gzip_member(text: str) -> bytes:
-    """One deterministic gzip member (mtime pinned to 0)."""
-    buffer = io.BytesIO()
-    with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as stream:
-        stream.write(text.encode("utf-8"))
-    return buffer.getvalue()
+
+def _gzip_member(data: bytes) -> bytes:
+    """One deterministic gzip member holding ``data``."""
+    deflate = zlib.compressobj(_GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+    return b"".join(
+        (
+            _GZIP_HEADER,
+            deflate.compress(data),
+            deflate.flush(),
+            struct.pack("<LL", zlib.crc32(data), len(data) & 0xFFFFFFFF),
+        )
+    )
+
+
+def _json_member(document) -> bytes:
+    """One gzip member holding ``document`` as sorted-key JSON."""
+    return _gzip_member(json.dumps(document, sort_keys=True).encode())
+
+
+# -- the step-segment codec ----------------------------------------------------------
+
+#: Row count, then the byte length of each part: the string table, the five
+#: ``int64`` columns, the four ``float64`` columns and the flattened
+#: ``thread_utilisation``.
+_SEGMENT_PREFIX = struct.Struct("<12Q")
+_COLUMN_TYPES = "qqqqqdddd"
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _column_bytes(column: array) -> bytes:
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column.tobytes()
+
+
+def _column(typecode: str, data: bytes, count: int) -> array:
+    """Decode one little-endian column that must hold ``count`` values."""
+    column = array(typecode)
+    column.frombytes(data)  # ValueError on a partial trailing item
+    if len(column) != count:
+        raise ValueError(f"step column holds {len(column)} value(s), expected {count}")
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column
+
+
+def encode_steps(steps: Sequence[StepRecord]) -> bytes:
+    """One step segment's binary columns (the module docstring has the
+    layout); a pure function of ``steps``, so re-encodes are byte-identical."""
+    (jobs, ranks, nodes, starts, durations, phases, nthreads, utilisation,
+     ipcs, work) = zip(*steps) if steps else ((),) * len(StepRecord._fields)
+    if list(map(len, utilisation)) != list(nthreads):
+        raise ValueError("a step's thread_utilisation length differs from its nthreads")
+    labels: dict[str, int] = {}
+    intern = labels.setdefault
+    columns = [
+        array("q", [intern(label, len(labels)) for label in jobs]),
+        array("q", [intern(label, len(labels)) for label in nodes]),
+        array("q", [intern(label, len(labels)) for label in phases]),
+        array("q", ranks),
+        array("q", nthreads),
+        array("d", starts),
+        array("d", durations),
+        array("d", ipcs),
+        array("d", work),
+        array("d", chain.from_iterable(utilisation)),
+    ]
+    parts = [json.dumps(list(labels)).encode()]
+    parts.extend(map(_column_bytes, columns))
+    return _SEGMENT_PREFIX.pack(len(steps), *map(len, parts)) + b"".join(parts)
+
+
+def decode_steps(data: bytes) -> list[StepRecord]:
+    """The step records of one :func:`encode_steps` segment.  Any length
+    mismatch raises :class:`ValueError`, so a damaged segment fails its
+    query instead of yielding wrong steps."""
+    if len(data) < _SEGMENT_PREFIX.size:
+        raise ValueError("step segment is shorter than its prefix")
+    rows, *lengths = _SEGMENT_PREFIX.unpack_from(data)
+    if _SEGMENT_PREFIX.size + sum(lengths) != len(data):
+        raise ValueError("step segment size disagrees with its prefix")
+    parts = []
+    offset = _SEGMENT_PREFIX.size
+    for length in lengths:
+        parts.append(data[offset : offset + length])
+        offset += length
+    labels = json.loads(parts[0])
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ValueError("step segment string table is not a list of strings")
+    jobs, nodes, phases, ranks, nthreads, starts, durations, ipcs, work = (
+        _column(typecode, part, rows) for typecode, part in zip(_COLUMN_TYPES, parts[1:])
+    )
+    if rows and (
+        min(min(jobs), min(nodes), min(phases)) < 0
+        or max(max(jobs), max(nodes), max(phases)) >= len(labels)
+    ):
+        raise ValueError("step segment label index out of range")
+    if rows and min(nthreads) < 0:
+        raise ValueError("step segment has a negative nthreads")
+    utilisation = _column("d", parts[10], sum(nthreads)).tolist()
+    steps: list[StepRecord] = []
+    append = steps.append
+    lo = 0
+    for job, rank, node, start, duration, phase, count, ipc, units in zip(
+        jobs, ranks, nodes, starts, durations, phases, nthreads, ipcs, work
+    ):
+        hi = lo + count
+        append(
+            StepRecord(
+                labels[job], rank, labels[node], start, duration, labels[phase],
+                count, tuple(utilisation[lo:hi]), ipc, units,
+            )
+        )
+        lo = hi
+    return steps
 
 
 @dataclass(frozen=True)
@@ -149,14 +278,24 @@ class TraceEntry:
         """How many step segments this entry has decompressed so far."""
         return sum(1 for key in self._inflated if isinstance(key, int))
 
-    def _member_records(self, offset: int, length: int) -> list[dict]:
+    def _member(self, offset: int, length: int) -> bytes:
+        """The inflated bytes of the one gzip member at ``offset``."""
         with open(self.path, "rb") as stream:
             stream.seek(offset)
             blob = stream.read(length)
         if len(blob) != length:
             raise ValueError(f"{self.path} is truncated at offset {offset}")
-        text = gzip.decompress(blob).decode("utf-8")
-        return [json.loads(line) for line in text.splitlines() if line]
+        inflate = zlib.decompressobj(wbits=31)
+        data = inflate.decompress(blob)
+        if not inflate.eof or inflate.unused_data:
+            raise ValueError(f"{self.path} has no single gzip member at offset {offset}")
+        return data
+
+    def _json_records(self, offset: int, length: int) -> list:
+        records = json.loads(self._member(offset, length))
+        if not isinstance(records, list):
+            raise ValueError(f"{self.path} has a non-list member at offset {offset}")
+        return records
 
     def _segment_offset(self, index: int) -> int:
         return self.header_bytes + sum(
@@ -167,15 +306,14 @@ class TraceEntry:
         """The step records of one segment, inflating it on first touch."""
         if index not in self._inflated:
             meta = self.segments[index]
-            steps: list[StepRecord] = []
-            for record in self._member_records(
-                self._segment_offset(index), int(meta["bytes"])
-            ):
-                if record.get("record") != "step":
-                    raise ValueError(
-                        f"unknown record type {record.get('record')!r} in {self.path}"
-                    )
-                steps.append(StepRecord.from_record(record))
+            steps = decode_steps(
+                self._member(self._segment_offset(index), int(meta["bytes"]))
+            )
+            if len(steps) != int(meta["n"]):
+                raise ValueError(
+                    f"segment {index} of {self.path} holds {len(steps)} step(s), "
+                    f"its table says {meta['n']}"
+                )
             self._inflated[index] = steps
         return self._inflated[index]
 
@@ -186,7 +324,7 @@ class TraceEntry:
             changes: list[MaskChangeRecord] = []
             if nbytes:
                 offset = self._segment_offset(len(self.segments))
-                for record in self._member_records(offset, nbytes):
+                for record in self._json_records(offset, nbytes):
                     if record.get("record") != "mask_change":
                         raise ValueError(
                             f"unknown record type {record.get('record')!r} "
@@ -227,7 +365,7 @@ class TraceEntry:
 
     def sched_records(self) -> list[dict]:
         """The raw scheduler-timeline records, inflating the sched member on
-        first touch (empty for v3 artifacts and sched-less runs)."""
+        first touch (empty for runs that recorded none)."""
         if "sched" not in self._inflated:
             nbytes = int(self.header.get("sched_bytes", 0))
             records: list[dict] = []
@@ -235,13 +373,13 @@ class TraceEntry:
                 offset = self._segment_offset(len(self.segments)) + int(
                     self.header.get("mask_bytes", 0)
                 )
-                records = self._member_records(offset, nbytes)
+                records = self._json_records(offset, nbytes)
             self._inflated["sched"] = records
         return self._inflated["sched"]
 
     @cached_property
     def sched(self) -> SchedTimeline:
-        """The run's scheduler timeline (empty for pre-v4 artifacts)."""
+        """The run's scheduler timeline."""
         return SchedTimeline.from_records(self.sched_records())
 
     @cached_property
@@ -264,15 +402,18 @@ class TraceStore(ContentStore):
     byte and a truncated artifact still reads as a miss.
     """
 
+    #: Kept from the JSONL formats so that existing stores, globs and
+    #: scripts still find the artifacts; ``export --format jsonl`` renders
+    #: the JSONL view.
     suffix = ".jsonl.gz"
     format_version = TRACE_FORMAT_VERSION
     kind = "traces"
     _NOUN = "trace"
     _UNITS = ("artifact(s)", "artifact(s)")
     #: Everything a read of a missing/corrupt/stale artifact can raise:
-    #: filesystem errors (``gzip.BadGzipFile`` is an ``OSError``), malformed
-    #: JSON/headers, and truncated or bit-rotted compressed streams
-    #: (``EOFError`` / ``zlib.error`` — e.g. an interrupted shard copy).
+    #: filesystem errors, malformed JSON/headers, and truncated or
+    #: bit-rotted compressed streams (``EOFError`` / ``zlib.error`` — e.g.
+    #: an interrupted shard copy).
     _READ_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError, zlib.error)
     _log = get_logger("traces.store")
 
@@ -309,19 +450,19 @@ class TraceStore(ContentStore):
                 consumed += len(chunk)
             actual = stream.seek(0, io.SEEK_END)
         header_bytes = consumed - len(decomp.unused_data)
-        header = json.loads(bytes(body).split(b"\n", 1)[0])
+        header = json.loads(bytes(body))
         if not isinstance(header, dict) or header.get("record") != "run":
             raise ValueError(f"{path} has no run header record")
-        if header.get("version") not in _COMPAT_VERSIONS:
+        if header.get("version") != TRACE_FORMAT_VERSION:
             raise ValueError(
                 f"trace {path.name} has format {header.get('version')!r}, "
-                f"expected one of {sorted(_COMPAT_VERSIONS)}"
+                f"expected {TRACE_FORMAT_VERSION}"
             )
         expected = (
             header_bytes
             + sum(int(seg["bytes"]) for seg in header["segments"])
             + int(header["mask_bytes"])
-            + int(header.get("sched_bytes", 0))
+            + int(header["sched_bytes"])
         )
         if actual != expected:
             raise ValueError(
@@ -365,9 +506,9 @@ class TraceStore(ContentStore):
         """Persist one executed run's full trace under its content key.
 
         Idempotent overwrite: the serialisation is deterministic (stable
-        record order, sorted JSON keys, gzip mtimes pinned to 0, a fixed
-        ``segment_steps`` chunking), so re-puts of the same cell write
-        byte-identical artifacts.
+        record order, sorted JSON keys, fixed column layout, gzip mtimes
+        pinned to 0, a fixed ``segment_steps`` chunking), so re-puts of the
+        same cell write byte-identical artifacts.
         """
         key = content_key(run)
         tracer = result.tracer
@@ -377,10 +518,7 @@ class TraceStore(ContentStore):
         segment_table: list[dict] = []
         for start in range(0, len(steps), self.segment_steps):
             chunk = steps[start : start + self.segment_steps]
-            blob = _gzip_member(
-                "\n".join(json.dumps(step.to_record(), sort_keys=True) for step in chunk)
-                + "\n"
-            )
+            blob = _gzip_member(encode_steps(chunk))
             segment_blobs.append(blob)
             segment_table.append(
                 {
@@ -392,22 +530,10 @@ class TraceStore(ContentStore):
             )
         mask_blob = b""
         if changes:
-            mask_blob = _gzip_member(
-                "\n".join(
-                    json.dumps(change.to_record(), sort_keys=True) for change in changes
-                )
-                + "\n"
-            )
+            mask_blob = _json_member([change.to_record() for change in changes])
         sched = getattr(result, "sched", None)
         sched_records = sched.to_records() if sched is not None else []
-        sched_blob = b""
-        if sched_records:
-            sched_blob = _gzip_member(
-                "\n".join(
-                    json.dumps(record, sort_keys=True) for record in sched_records
-                )
-                + "\n"
-            )
+        sched_blob = _json_member(sched_records) if sched_records else b""
         header = {
             "record": "run",
             "version": TRACE_FORMAT_VERSION,
@@ -425,11 +551,8 @@ class TraceStore(ContentStore):
             "sched_bytes": len(sched_blob),
             "nsched": len(sched_records),
         }
-        data = (
-            _gzip_member(json.dumps(header, sort_keys=True) + "\n")
-            + b"".join(segment_blobs)
-            + mask_blob
-            + sched_blob
+        data = b"".join(
+            [_json_member(header), *segment_blobs, mask_blob, sched_blob]
         )
         entry = TraceEntry(key=key, path=self.path_for(key), header=header)
         path = self._write(key, data, entry)
@@ -441,3 +564,4 @@ class TraceStore(ContentStore):
             len(segment_table),
         )
         return path
+

@@ -7,7 +7,6 @@ both inherit it from one :class:`~repro.store.ContentStore`.
 
 from __future__ import annotations
 
-import gzip
 import json
 import pathlib
 import pickle
@@ -20,7 +19,7 @@ from repro.results import ResultStore, content_key
 from repro.results.__main__ import main as results_cli
 from repro.traces import TraceStore
 from repro.traces.__main__ import main as traces_cli
-from repro.traces.store import _gzip_member
+from repro.traces.store import TRACE_FORMAT_VERSION, _gzip_member
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM
 
@@ -44,12 +43,16 @@ def _stale_metrics(data: bytes) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
 
 
+def _with_trace_version(data: bytes, version: int) -> bytes:
+    """The artifact ``data`` with only its header member rewritten to claim
+    format ``version``; the body members are kept byte for byte."""
+    header, header_bytes = TraceStore._header_span(pathlib.Path("artifact"), data)
+    header["version"] = version
+    return _gzip_member(json.dumps(header, sort_keys=True).encode()) + data[header_bytes:]
+
+
 def _stale_trace(data: bytes) -> bytes:
-    lines = gzip.decompress(data).decode().splitlines()
-    header = json.loads(lines[0])
-    header["version"] = 2
-    lines[0] = json.dumps(header, sort_keys=True)
-    return gzip.compress(("\n".join(lines) + "\n").encode())
+    return _with_trace_version(data, 2)
 
 
 #: tier name -> (store factory, put of the cell, stale rewrite of its bytes,
@@ -131,22 +134,24 @@ class TestMerge:
         assert copied == len(target.keys())
 
     def test_merge_indexes_the_version_it_copied(self, cell, tmp_path):
-        # A v3 artifact (no sched member) is indexed as 3, both by the merge
-        # and by an index rebuild of the merged store.
+        # A current artifact is indexed as the current version, both by the
+        # merge and by an index rebuild of the merged store; a v4 source
+        # (an older format, read as a miss) is skipped and never indexed.
         source, key = _filled(TIERS["traces"], cell, tmp_path / "src")
         path = source.path_for(key)
-        data = path.read_bytes()
-        header, header_bytes = TraceStore._header_span(path)
-        body = data[header_bytes : len(data) - header["sched_bytes"]]
-        header = {k: v for k, v in header.items() if k not in ("sched_bytes", "nsched")}
-        header["version"] = 3
-        path.write_bytes(_gzip_member(json.dumps(header, sort_keys=True) + "\n") + body)
+        current = path.read_bytes()
         target = TraceStore(tmp_path / "dst")
         assert target.merge(source) == 1
-        assert target.index.live_entries()[key].version == 3
+        assert target.index.live_entries()[key].version == TRACE_FORMAT_VERSION
         target.index.path.unlink()
         rebuilt = TraceStore(tmp_path / "dst")
-        assert rebuilt.index.live_entries()[key].version == 3
+        assert rebuilt.index.live_entries()[key].version == TRACE_FORMAT_VERSION
+
+        path.write_bytes(_with_trace_version(current, 4))
+        fresh = TraceStore(tmp_path / "fresh")
+        assert fresh.merge(source) == 0
+        assert key not in fresh.index.live_entries()
+        assert fresh.keys() == []
 
 
 class TestLifecycle:

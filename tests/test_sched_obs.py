@@ -5,9 +5,9 @@ The load-bearing contracts:
 * **Event-driven probe** — the controller pushes every lifecycle edge to the
   probe; queue depth is correct even mid-scheduling-pass (skipped jobs stay
   pending), and batched/unbatched executions record identical timelines.
-* **Trace format v4** — the sched member round-trips byte-identically, v3
-  artifacts still read (with an empty timeline), and a truncated sched
-  member is a cache miss.
+* **Trace format v5** — the sched member round-trips byte-identically,
+  pre-v5 artifacts are cache misses that a warm campaign re-simulates, and
+  a truncated sched member is a cache miss.
 * **Warm == cold** — fairness/utilization queries over a stored artifact
   equal the live run's answers exactly, with zero simulation.
 * **Starvation regression** (ROADMAP item 4's pinned numbers) — under
@@ -59,7 +59,7 @@ from repro.results.store import ResultStore, content_key
 from repro.slurm.jobs import JobSpec
 from repro.slurm.slurmctld import Slurmctld
 from repro.traces.query import TraceReader
-from repro.traces.store import TraceStore
+from repro.traces.store import TRACE_FORMAT_VERSION, TraceStore, _gzip_member
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL, ScenarioRunner
 from repro.workload.workloads import in_situ_workload
@@ -261,11 +261,11 @@ class TestSchedPersistence:
         path = store.put(run, result)
         return run, result, store, path
 
-    def test_v4_round_trip_and_warm_equals_cold(self, stored):
+    def test_v5_round_trip_and_warm_equals_cold(self, stored):
         run, result, store, _path = stored
         entry = store.get(run)
         assert entry is not None
-        assert entry.header["version"] == 4
+        assert entry.header["version"] == 5
         assert entry.header["nsched"] == len(result.sched)
         assert entry.sched == result.sched
 
@@ -294,34 +294,47 @@ class TestSchedPersistence:
         # and it never inflated a step segment to answer
         assert entry.segments_inflated == 0
 
-    def test_v3_artifact_reads_with_empty_sched(self, stored, tmp_path):
-        # Hand-build a v3 artifact from the v4 one: drop the trailing sched
-        # member and rewrite the header without the v4 fields.  The store
-        # must keep serving it (empty timeline), not treat it as a miss.
-        run, _result, store, path = stored
-        data = path.read_bytes()
-        header, header_bytes = TraceStore._header_span(path)
-        sched_bytes = header["sched_bytes"]
-        assert sched_bytes > 0
-        body = data[header_bytes : len(data) - sched_bytes]
-        header = {
-            k: v for k, v in header.items() if k not in ("sched_bytes", "nsched")
-        }
-        header["version"] = 3
-        from repro.traces.store import _gzip_member
-
-        v3_store = TraceStore(tmp_path)
-        v3_path = v3_store.path_for(content_key(run))
-        v3_path.parent.mkdir(parents=True, exist_ok=True)
-        v3_path.write_bytes(
-            _gzip_member(json.dumps(header, sort_keys=True) + "\n") + body
+    def test_pre_v5_artifact_is_a_miss(self, tmp_path):
+        # Older formats are not read: an artifact whose header claims v4
+        # (the body is left as is) misses, a warm campaign re-executes
+        # exactly that cell and rewrites it as v5, and gc collects a stale
+        # copy — the same policy as a metrics schema bump.
+        spec = CampaignSpec(
+            name="pre-v5",
+            workloads=(SyntheticWorkloadRef(spec=SMALL, seed=0),),
+            scenarios=(SERIAL, DROM),
+            clusters=(ClusterRef(nnodes=4),),
         )
-        entry = v3_store.get(run)
-        assert entry is not None
-        assert entry.sched == SchedTimeline()
-        assert TraceReader(entry).fairness_summary().njobs == 0
-        # the step records are still all there
+        store = ResultStore(tmp_path / "metrics")
+        traces = TraceStore(tmp_path / "traces")
+        cold = run_campaign(spec, store=store, trace_store=traces)
+        assert cold.executed == spec.nruns == 2
+        run = small_run()
+        path = traces.path_for(content_key(run))
+        current = path.read_bytes()
+        header, header_bytes = TraceStore._header_span(path)
+        assert header["version"] == TRACE_FORMAT_VERSION == 5
+        header["version"] = 4
+        stale = (
+            _gzip_member(json.dumps(header, sort_keys=True).encode())
+            + current[header_bytes:]
+        )
+        path.write_bytes(stale)
+        assert traces.get(run) is None
+        assert run not in traces
+
+        warm = run_campaign(spec, store=store, trace_store=traces)
+        assert warm.executed == 1
+        assert warm.rows == cold.rows
+        assert path.read_bytes() == current
+        entry = traces.get(run)
+        assert entry is not None and entry.version == 5
+        assert len(entry.sched) > 0
         assert len(entry.tracer) == entry.header["nsteps"]
+
+        path.write_bytes(stale)
+        assert traces.gc() == [content_key(run)]
+        assert not path.exists()
 
     def test_truncated_sched_member_is_a_miss(self, stored, tmp_path):
         run, result, _store, _path = stored

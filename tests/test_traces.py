@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
+import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.campaign import (
     CampaignSpec,
@@ -37,6 +40,7 @@ from repro.traces import (
     TraceStore,
 )
 from repro.traces.__main__ import main as traces_main
+from repro.traces.store import _SEGMENT_PREFIX, _gzip_member, decode_steps, encode_steps
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL
 
@@ -98,18 +102,20 @@ class TestTraceStoreRoundTrip:
         assert run in store
 
     def test_stale_version_is_a_miss_and_gc_collects(self, traced_run, tmp_path):
-        # Version 2 predates the chunked layout and the sched member; it is
-        # outside the compat set.  v3 *is* accepted — the backward-compat
-        # path has its own coverage in tests/test_sched_obs.py.
+        # Only the header member is rewritten, so the body and the byte
+        # table still agree: the version alone makes the artifact a miss.
+        # Every format but the current one reads as a miss — the pre-v5
+        # case has its own coverage in tests/test_sched_obs.py.
         run, result = traced_run
         store = TraceStore(tmp_path)
         path = store.put(run, result)
-        text = gzip.decompress(path.read_bytes()).decode()
-        lines = text.splitlines()
-        header = json.loads(lines[0])
+        data = path.read_bytes()
+        header, header_bytes = TraceStore._header_span(path)
         header["version"] = 2
-        lines[0] = json.dumps(header, sort_keys=True)
-        path.write_bytes(gzip.compress(("\n".join(lines) + "\n").encode()))
+        path.write_bytes(
+            _gzip_member(json.dumps(header, sort_keys=True).encode())
+            + data[header_bytes:]
+        )
         assert run not in store
         assert store.get(run) is None
         assert store.gc(dry_run=True) == [content_key(run)]
@@ -148,6 +154,97 @@ class TestTraceStoreRoundTrip:
         assert store.load(key[:10]).key == key
         with pytest.raises(KeyError, match="no trace"):
             store.load("ffffff")
+
+
+#: Labels drawn from a small pool repeat across rows (exercising the string
+#: table), plus short strings over an alphabet of ASCII, accented, CJK,
+#: astral-plane, line-separator and lone-surrogate characters.
+labels = st.sampled_from(["sim", "ana", "nœud-0", "相位", ""]) | st.text(
+    alphabet='az09 -_"\\éœ相位\u2028\U0001f600\ud800', max_size=8
+)
+int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+doubles = st.floats() | st.sampled_from(
+    [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.5e-310, 1e308, -1e308]
+)
+
+
+@st.composite
+def step_records(draw) -> StepRecord:
+    nthreads = draw(st.integers(min_value=0, max_value=6))
+    return StepRecord(
+        job=draw(labels),
+        rank=draw(int64s),
+        node=draw(labels),
+        start=draw(doubles),
+        duration=draw(doubles),
+        phase=draw(labels),
+        nthreads=nthreads,
+        thread_utilisation=tuple(
+            draw(st.lists(doubles, min_size=nthreads, max_size=nthreads))
+        ),
+        ipc=draw(doubles),
+        work_units=draw(doubles),
+    )
+
+
+def _bits(step: StepRecord) -> tuple:
+    """A step with every float replaced by its IEEE bytes, so ``nan`` and
+    ``-0.0`` compare bit for bit."""
+
+    def exact(value):
+        if isinstance(value, float):
+            return struct.pack("<d", value)
+        if isinstance(value, tuple):
+            return tuple(map(exact, value))
+        return (type(value), value)
+
+    return tuple(map(exact, step))
+
+
+def _split(segment: bytes) -> tuple[int, list[bytes]]:
+    rows, *lengths = _SEGMENT_PREFIX.unpack_from(segment)
+    parts, offset = [], _SEGMENT_PREFIX.size
+    for length in lengths:
+        parts.append(segment[offset : offset + length])
+        offset += length
+    return rows, parts
+
+
+def _join(rows: int, parts: list[bytes]) -> bytes:
+    return _SEGMENT_PREFIX.pack(rows, *map(len, parts)) + b"".join(parts)
+
+
+class TestStepCodec:
+    @given(st.lists(step_records(), max_size=8))
+    def test_round_trip_is_bit_exact_and_reencodes_identically(self, steps):
+        segment = encode_steps(steps)
+        decoded = decode_steps(segment)
+        assert list(map(_bits, decoded)) == list(map(_bits, steps))
+        assert encode_steps(decoded) == segment
+
+    @given(st.lists(step_records(), min_size=1, max_size=4))
+    def test_trailing_byte_or_short_column_raises(self, steps):
+        segment = encode_steps(steps)
+        with pytest.raises(ValueError):
+            decode_steps(segment + b"\0")
+        with pytest.raises(ValueError):
+            decode_steps(segment[:-1])
+        rows, parts = _split(segment)
+        # Every column, cut by a partial item or by a whole one, with the
+        # prefix rewritten to match so only the column length is wrong.
+        for column in range(1, len(parts)):
+            for cut in (1, 8):
+                if len(parts[column]) < cut:
+                    continue
+                short = list(parts)
+                short[column] = short[column][:-cut]
+                with pytest.raises(ValueError):
+                    decode_steps(_join(rows, short))
+
+    def test_utilisation_must_match_nthreads(self):
+        step = StepRecord("j", 0, "n0", 0.0, 1.0, "p", 2, (1.0,), 1.0, 1.0)
+        with pytest.raises(ValueError):
+            encode_steps([step])
 
 
 class TestTraceStoreMerge:
@@ -511,8 +608,12 @@ class TestTracesCli:
         ]) == 0
         assert len(list(out_dir.glob("*.prv"))) == 1
 
-    def test_export_jsonl_is_the_decompressed_artifact(self, populated, tmp_path, capsys):
-        run, _result, store = populated
+    def test_export_jsonl_renders_the_live_records(self, populated, tmp_path, capsys):
+        # The artifact's step segments are binary, so the export renders
+        # the record stream: the header line, then one sorted-key JSON line
+        # per step, mask-change and scheduler record, equal to the live
+        # tracer's to_record() lines.
+        run, result, store = populated
         out_dir = tmp_path / "exported"
         assert traces_main([
             "export", content_key(run)[:10], "--store", str(store.root),
@@ -520,8 +621,24 @@ class TestTracesCli:
         ]) == 0
         exported = list(out_dir.glob("*.jsonl"))
         assert len(exported) == 1
-        raw = gzip.decompress(store.path_for(content_key(run)).read_bytes())
-        assert exported[0].read_bytes() == raw
+        text = exported[0].read_text()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        header = json.loads(lines[0])
+        assert header == store.get(run).header
+        assert header["record"] == "run" and header["key"] == content_key(run)
+        live = [
+            json.dumps(record, sort_keys=True)
+            for record in (
+                *(step.to_record() for step in result.tracer),
+                *(change.to_record() for change in result.tracer.mask_changes()),
+                *result.sched.to_records(),
+            )
+        ]
+        assert lines[1:] == live
+        assert sum(json.loads(line)["record"] == "step" for line in lines) == len(
+            result.tracer
+        )
 
     def test_gc_collects_stale_artifact(self, populated, capsys):
         run, _result, store = populated
