@@ -13,8 +13,8 @@ this harness gates both:
   configurations share one core); byte identity is asserted unconditionally.
 
 The harness also exercises crash recovery end to end: one artifact is
-deleted from the warm store and ``resume_campaign`` must re-execute exactly
-that one cell from the manifest, byte-identically.
+deleted from the warm store and a resume (``run_campaign`` over the
+manifest's replay) must re-execute exactly that one cell, byte-identically.
 
 Run standalone (the tier-1 suite does not collect ``benchmarks/``)::
 
@@ -41,10 +41,9 @@ if __name__ == "__main__":  # standalone: make src/ importable without PYTHONPAT
 from repro.campaign import (
     CampaignSpec,
     SyntheticWorkloadRef,
-    resume_campaign,
     run_campaign,
 )
-from repro.exec import LocalPoolExecutor
+from repro.exec import CampaignManifest, LocalPoolExecutor
 from repro.obs.telemetry import Telemetry
 from repro.results.store import ResultStore, content_key
 from repro.workload.generator import WorkloadSpec
@@ -171,7 +170,12 @@ def run_harness(out: Path) -> dict:
 
 def run_resume(manifest: Path, store: ResultStore):
     """The resume leg, kept separate so the pytest entry reuses it."""
-    return resume_campaign(manifest, store, executor=LocalPoolExecutor(slots=1))
+    return run_campaign(
+        CampaignManifest(manifest).replay(),
+        store=store,
+        manifest=manifest,
+        executor=LocalPoolExecutor(slots=1),
+    )
 
 
 def test_distributed_sweep_gate(report):

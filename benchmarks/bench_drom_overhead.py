@@ -16,8 +16,14 @@ from repro.core import DromFlags, NodeSharedMemory, attach_admin
 from repro.core.dlb import DlbProcess
 from repro.cpuset import CpuSet, NodeTopology
 from repro.workload import configs
-from repro.workload.runner import run_both_scenarios
+from repro.workload.runner import ScenarioRunner
 from repro.workload.workloads import Workload, WorkloadJob
+
+
+def run_both(workload: Workload) -> dict:
+    """Serial and DROM results of a workload no declarative reference names."""
+    runners = (ScenarioRunner(False), ScenarioRunner(True))
+    return {runner.scenario: runner.run(workload) for runner in runners}
 
 
 def test_drom_enabled_scheduler_adds_no_overhead(benchmark, report):
@@ -25,7 +31,7 @@ def test_drom_enabled_scheduler_adds_no_overhead(benchmark, report):
         name="solo NEST Conf. 1",
         jobs=(WorkloadJob(app=configs.nest("Conf. 1"), submit_time=0.0),),
     )
-    results = benchmark(run_both_scenarios, workload)
+    results = benchmark(run_both, workload)
     serial = results["serial"].metrics.total_run_time
     drom = results["drom"].metrics.total_run_time
     report(

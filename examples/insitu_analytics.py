@@ -16,16 +16,15 @@ where ``pils-config`` is ``"Conf. 1"``, ``"Conf. 2"`` (default) or ``"Conf. 3"``
 
 import sys
 
+from repro.campaign import InSituWorkloadRef, run_scenario_pair
 from repro.metrics import ParaverView, relative_improvement
-from repro.workload import in_situ_workload, run_both_scenarios
 
 
 def main(pils_config: str = "Conf. 2") -> None:
-    workload = in_situ_workload("NEST", "Conf. 1", "Pils", pils_config)
-    print(f"workload: {workload.name}\n")
-
-    results = run_both_scenarios(workload)
+    results = run_scenario_pair(InSituWorkloadRef("NEST", "Conf. 1", "Pils", pils_config))
     serial, drom = results["serial"], results["drom"]
+    workload = drom.workload
+    print(f"workload: {workload.name}\n")
 
     print(f"{'':24s}{'Serial':>12s}{'DROM':>12s}")
     print(f"{'total run time (s)':24s}{serial.metrics.total_run_time:12.0f}"

@@ -26,10 +26,9 @@ running process — together with every substrate the evaluation needs:
 
 Quick start::
 
-    from repro.workload import in_situ_workload, run_both_scenarios
+    from repro.campaign import InSituWorkloadRef, run_scenario_pair
 
-    workload = in_situ_workload("NEST", "Conf. 1", "Pils", "Conf. 2")
-    results = run_both_scenarios(workload)
+    results = run_scenario_pair(InSituWorkloadRef("NEST", "Conf. 1", "Pils", "Conf. 2"))
     print(results["serial"].metrics.total_run_time,
           results["drom"].metrics.total_run_time)
 """

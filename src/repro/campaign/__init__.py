@@ -6,7 +6,8 @@ workloads; this package is the scaling seam on top of that substrate.  A
 scenario × workload × policy × cluster combinations declaratively (plain
 picklable dataclasses), :func:`~repro.campaign.runner.run_campaign` expands
 it, executes every run — in-process or across a ``multiprocessing`` worker
-pool — and aggregates the per-run metrics into one comparable table.
+pool — and aggregates the per-run metrics into one comparable table.  It is
+the only driver: a resume and a Serial/DROM scenario pair are campaigns too.
 
 Fixed-seed campaigns are deterministic by construction: every run is a pure
 function of its :class:`~repro.campaign.spec.RunSpec` and aggregation happens
@@ -35,8 +36,6 @@ from repro.campaign.runner import (
     CampaignResult,
     RunMetrics,
     execute_run,
-    execute_runs,
-    resume_campaign,
     run_campaign,
     run_scenario_pair,
     summarise_run,
@@ -57,8 +56,6 @@ __all__ = [
     "CampaignResult",
     "RunMetrics",
     "execute_run",
-    "execute_runs",
-    "resume_campaign",
     "run_campaign",
     "run_scenario_pair",
     "summarise_run",

@@ -13,6 +13,7 @@ Example::
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from repro.campaign.runner import run_campaign
@@ -341,7 +342,6 @@ def main(argv: list[str] | None = None) -> int:
     configure(args.log_level)
     executor_tokens = args.executor or []
     slurm_tokens = [t for t in executor_tokens if t.partition(":")[0] == "slurm"]
-    spec = None
     try:
         if slurm_tokens and len(executor_tokens) > 1:
             raise ValueError(
@@ -356,9 +356,19 @@ def main(argv: list[str] | None = None) -> int:
         executors = _parse_executors(
             [t for t in executor_tokens if t not in slurm_tokens]
         ) or None
-        if args.resume is None:
+        if args.resume is not None:
+            if args.store is None:
+                raise ValueError(
+                    "--resume requires --store (the warm scan against it is "
+                    "what skips completed cells)"
+                )
             # A resume rebuilds its run list from the manifest; the grid
             # flags only matter on a fresh campaign.
+            from repro.exec.manifest import CampaignManifest
+
+            spec = CampaignManifest(args.resume).replay()
+            spec.expand()  # a missing or empty manifest is a usage error
+        else:
             spec = build_spec(args)
             if args.shard is not None:
                 spec = _select_shard(spec, args.shard)
@@ -369,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         # bad executor specs read like any other usage error instead of a
         # traceback.
         parser.error(str(exc))
-    if spec is not None:
+    if args.resume is None:
         backend = (
             f"{len(executors)} executor(s)" if executors
             else f"{args.workers} worker(s)"
@@ -395,70 +405,47 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.telemetry import Telemetry
 
         telemetry = Telemetry()
-    if args.resume is not None:
-        if store is None:
-            parser.error("--resume requires --store (the warm scan against "
-                         "it is what skips completed cells)")
-        from repro.campaign.runner import resume_campaign
-
-        result = resume_campaign(
-            args.resume,
-            store,
-            workers=args.workers,
-            trace_store=trace_store,
-            telemetry=telemetry,
-            progress=args.progress,
-            executor=executors,
-            timeout=args.cell_timeout,
-            retries=args.retries,
-            backoff=args.backoff,
+    workers = args.workers
+    if args.profile is not None and (workers != 1 or executors):
+        # A worker pool would hide the hot path in child processes, so the
+        # profiled sweep runs in-process.
+        _log.warning(
+            "--profile forces the in-process executor; ignoring "
+            "--workers/--executor"
         )
+        workers, executors = 1, None
+    campaign = functools.partial(
+        run_campaign,
+        spec,
+        workers=workers,
+        store=store,
+        trace_store=trace_store,
+        telemetry=telemetry,
+        progress=args.progress,
+        executor=executors,
+        manifest=args.resume if args.resume is not None else args.manifest,
+        timeout=args.cell_timeout,
+        retries=args.retries,
+        backoff=args.backoff,
+    )
+    if args.profile is None:
+        result = campaign()
+    else:
+        import cProfile
+        import pstats
+
+        profiler = cProfile.Profile()
+        try:
+            result = profiler.runcall(campaign)
+        finally:
+            profiler.dump_stats(args.profile)
+        print(f"profile written to {args.profile}; top 20 by cumulative time:")
+        pstats.Stats(profiler).strip_dirs().sort_stats("cumulative").print_stats(20)
+    if args.resume is not None:
         print(
             f"resumed campaign {result.name!r} from {args.resume}: "
             f"{result.executed} cell(s) re-executed, "
             f"{result.cache_hits} already in the store"
-        )
-    elif args.profile is not None:
-        # Profile the serial executor: a worker pool would hide the hot path
-        # in child processes, so the sweep runs in-process under cProfile.
-        import cProfile
-        import pstats
-
-        if args.workers != 1 or executors:
-            _log.warning(
-                "--profile forces the in-process executor; ignoring "
-                "--workers/--executor"
-            )
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            result = run_campaign(
-                spec,
-                workers=1,
-                store=store,
-                trace_store=trace_store,
-                telemetry=telemetry,
-                progress=args.progress,
-                manifest=args.manifest,
-            )
-        finally:
-            profiler.disable()
-            profiler.dump_stats(args.profile)
-        print(f"profile written to {args.profile}; top 20 by cumulative time:")
-        pstats.Stats(profiler).strip_dirs().sort_stats("cumulative").print_stats(20)
-    else:
-        result = run_campaign(
-            spec,
-            workers=args.workers,
-            store=store,
-            trace_store=trace_store,
-            telemetry=telemetry,
-            progress=args.progress,
-            executor=executors,
-            manifest=args.manifest,
-            timeout=args.cell_timeout,
-            retries=args.retries,
-            backoff=args.backoff,
         )
     if telemetry is not None:
         from repro.obs.export import write_chrome_trace, write_summary

@@ -1,16 +1,25 @@
 """Campaign execution: expand, run (serially or in a worker pool), aggregate.
 
-The execution contract that everything else leans on:
+The run layer has three entry points:
 
 * :func:`execute_run` is a **pure function** of a :class:`RunSpec` — it
   rebuilds the workload, cluster and policy from their declarative references
   and runs one fresh :class:`~repro.workload.runner.ScenarioRunner` on a fresh
   discrete-event engine.  No state leaks between runs.
-* :func:`run_campaign` executes the expanded run list either in-process
-  (``workers=1``) or on a ``multiprocessing`` pool, and aggregates the compact
+* :func:`run_campaign` is the only driver.  It scans the store tiers, runs
+  every miss through :func:`run_cell` — in-process (``workers=1``), on a
+  ``multiprocessing`` pool or on executors — and aggregates the compact
   per-run metrics in **run-index order**.  Because each run is pure and the
   aggregation order is fixed, a fixed-seed campaign produces byte-identical
-  aggregated metrics no matter how many workers executed it.
+  aggregated metrics no matter how many workers executed it.  A resume is
+  ``run_campaign(CampaignManifest(path).replay(), store=..., manifest=path)``.
+* :func:`run_scenario_pair` is a 2-cell campaign (Serial and DROM of one
+  workload) that returns the full :class:`ScenarioResult` objects (or replays of
+  them) the figure reproductions read their tracers from.
+
+:func:`run_cell` is the one cell body — execute, summarise, sinks, metrics
+tier, trace tier — whichever process hosts the cell: the serial path, a
+local pool worker or ``python -m repro.exec.worker``.
 
 Observability rides the same seam: every cell is measured on a *fresh clock*
 from the telemetry's clock factory and records a detached
@@ -21,10 +30,6 @@ the ``campaign`` span in run-index order — so serial and pooled campaigns
 produce structurally identical telemetry (byte-identical with a
 deterministic fake clock factory).  Telemetry is observational only: rows,
 content keys and stored artifacts are byte-identical with it on or off.
-
-Experiments that need the full :class:`ScenarioResult` (tracers for the
-figure reproductions) call :func:`execute_run` / :func:`run_scenario_pair`
-directly instead of going through the compact aggregation.
 """
 
 from __future__ import annotations
@@ -34,12 +39,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, TextIO
 
 from repro.campaign.spec import CampaignSpec, RunSpec, WorkloadRef
+from repro.exec.base import WorkerContext
 from repro.obs.log import get_logger
 from repro.obs.progress import ProgressLine
 from repro.obs.telemetry import DISABLED, Span, Telemetry
 from repro.workload.runner import DROM, SERIAL, ScenarioResult, ScenarioRunner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
+    from repro.exec.manifest import ManifestState
     from repro.results.sinks import TraceSink
     from repro.results.store import ResultStore
     from repro.traces.query import ScenarioReplay
@@ -119,69 +126,6 @@ def _annotate_sched(span: Span, result: ScenarioResult) -> None:
     ]
 
 
-def run_scenario_pair(
-    workload: WorkloadRef,
-    trace: bool = True,
-    sinks: Iterable["TraceSink"] = (),
-    store: "ResultStore | None" = None,
-    trace_store: "TraceStore | None" = None,
-    telemetry: Telemetry | None = None,
-    **run_kwargs,
-) -> dict[str, "ScenarioResult | ScenarioReplay"]:
-    """Serial and DROM full results of one workload (the experiments' idiom).
-
-    ``sinks`` receive each scenario's full result (tracing is forced on when
-    any sink is given), so the figure experiments export their traces through
-    the same sink API as campaigns.
-
-    ``store``/``trace_store`` are the two content-addressed tiers.  When
-    *both* are given and both hit for a scenario, execution is skipped and a
-    :class:`~repro.traces.query.ScenarioReplay` (metrics row + stored
-    tracer, same reporting interface) is returned instead; on any miss the
-    scenario executes with tracing on and both tiers are written back.  This
-    is what lets the trace-based figure experiments regenerate from a warm
-    store without simulating.  Unlike campaign cache hits, replays *do*
-    carry a full tracer, so sinks are fed on both paths.
-
-    ``telemetry`` records one ``cell`` span per scenario (with a ``replay``
-    child on double hits, the usual execution children otherwise).
-    """
-    sinks = tuple(sinks)
-    obs = telemetry if telemetry is not None else DISABLED
-    results: dict[str, ScenarioResult] = {}
-    for i, scenario in enumerate((SERIAL, DROM)):
-        run = RunSpec(index=i, scenario=scenario, workload=workload, **run_kwargs)
-        with obs.span("cell", index=i, run_id=run.run_id, cached=False) as cell:
-            result = None
-            if store is not None and trace_store is not None:
-                row = store.get(run)
-                entry = trace_store.get(run) if row is not None else None
-                if row is not None and entry is not None:
-                    from repro.traces.query import replay_scenario
-
-                    with obs.span("replay"):
-                        result = replay_scenario(run, row, entry)
-                    cell.attrs["cached"] = True
-                    cell.count("metrics_hit", 1)
-                    cell.count("trace_hit", 1)
-                    _log.debug("cell %s: replayed from both tiers", run.cell_id)
-            if result is None:
-                capture = trace or bool(sinks) or trace_store is not None
-                result = execute_run(run, trace=capture, telemetry=obs)
-                if store is not None:
-                    with obs.span("store_write") as span:
-                        path = store.put(summarise_run(run, result))
-                        span.count("bytes", path.stat().st_size)
-                if trace_store is not None:
-                    with obs.span("trace_write") as span:
-                        path = trace_store.put(run, result)
-                        span.count("bytes", path.stat().st_size)
-            for sink in sinks:
-                sink.write(run, result)
-        results[scenario] = result
-    return results
-
-
 @dataclass(frozen=True)
 class RunMetrics:
     """Compact, picklable summary of one run (what the pool ships back)."""
@@ -227,42 +171,44 @@ def summarise_run(run: RunSpec, result: ScenarioResult) -> RunMetrics:
     )
 
 
-def _execute_and_summarise(
-    run: RunSpec,
-    sinks: tuple["TraceSink", ...] = (),
-    trace_store: "TraceStore | None" = None,
-    store: "ResultStore | None" = None,
-    clock_factory=None,
+def run_cell(
+    run: RunSpec, context: WorkerContext
 ) -> tuple[RunMetrics, Span | None]:
-    """Pool worker entry point (module-level so it pickles).
+    """Execute, summarise and persist one campaign cell.
 
-    Tracing is enabled only when sinks or the trace tier want the full
-    trace; each worker writes its own runs' store entries and trace files
-    (both tiers are keyed per run, so concurrent workers never collide — and
-    same-cell collisions write atomically).
+    This is the one cell body, called wherever a cell runs: the serial
+    campaign path, local pool workers (module-level so it pickles) and both
+    modes of ``python -m repro.exec.worker``.  Tracing is enabled only when
+    ``context``'s sinks or trace tier want the full trace; the metrics tier
+    and then the trace tier are written last (both are keyed per run, so
+    concurrent workers never collide — and same-cell collisions write
+    atomically).
 
     Returns the metrics row plus the cell's detached span tree (``None``
     when telemetry is off).  The tree is measured on a **fresh clock** from
-    ``clock_factory`` — the same code path whether this call runs in-process
-    or inside a pool worker, which is what makes serial and pooled telemetry
-    identical under a deterministic fake factory.
+    ``context.clock_factory`` — the same code path whether this call runs
+    in-process or inside a pool worker, which is what makes serial and
+    pooled telemetry identical under a deterministic fake factory.
     """
-    obs = Telemetry(clock_factory=clock_factory) if clock_factory is not None else DISABLED
+    factory = context.clock_factory
+    obs = Telemetry(clock_factory=factory) if factory is not None else DISABLED
     with obs.span("cell", index=run.index, run_id=run.run_id, cached=False) as cell:
         result = execute_run(
-            run, trace=bool(sinks) or trace_store is not None, telemetry=obs
+            run,
+            trace=bool(context.sinks) or context.trace_store is not None,
+            telemetry=obs,
         )
         with obs.span("summarise"):
             row = summarise_run(run, result)
-        for sink in sinks:
+        for sink in context.sinks:
             sink.write(run, result)
-        if store is not None:
+        if context.store is not None:
             with obs.span("store_write") as span:
-                path = store.put(row)
+                path = context.store.put(row)
                 span.count("bytes", path.stat().st_size)
-        if trace_store is not None:
+        if context.trace_store is not None:
             with obs.span("trace_write") as span:
-                path = trace_store.put(run, result)
+                path = context.trace_store.put(run, result)
                 span.count("bytes", path.stat().st_size)
         cell.count("events", result.events_executed)
     return row, (obs.roots[0] if obs.enabled else None)
@@ -401,9 +347,8 @@ def _as_manifest(manifest):
     return CampaignManifest(manifest)
 
 
-def execute_runs(
-    name: str,
-    runs: Iterable[RunSpec],
+def run_campaign(
+    spec: "CampaignSpec | ManifestState",
     workers: int = 1,
     store: "ResultStore | None" = None,
     sinks: Iterable["TraceSink"] = (),
@@ -416,18 +361,75 @@ def execute_runs(
     retries: int = 2,
     backoff: float = 0.5,
 ) -> CampaignResult:
-    """Execute an explicit run list and aggregate the metrics — the core
-    both :func:`run_campaign` (expanded spec) and :func:`resume_campaign`
-    (manifest replay) drive.  See :func:`run_campaign` for the full
-    parameter contract."""
+    """Execute every run of ``spec`` and aggregate the metrics.
+
+    ``spec`` is anything with a ``name`` and an ``expand()`` run list: a
+    :class:`CampaignSpec` grid, or the :class:`~repro.exec.manifest.ManifestState`
+    a manifest replays to (a resume).
+
+    ``workers=1`` executes in-process; ``workers>1`` fans the runs out over a
+    ``multiprocessing`` pool whose workers receive the invariant campaign
+    context once through the pool initializer.  ``executor`` overrides both:
+    one :class:`~repro.exec.base.Executor` (or a list of them — e.g. a local
+    pool plus two SSH hosts) dealt cells by the asyncio orchestrator
+    (:mod:`repro.exec.orchestrator`), with per-cell ``timeout``, bounded
+    ``retries`` with exponential ``backoff``, and graceful degradation when
+    a backend dies.  All paths return identical results for the same spec:
+    each run is a pure function of its :class:`RunSpec` and rows are
+    aggregated in run-index order regardless of completion order.
+
+    ``store`` memoises execution on the run's content hash: cells already in
+    the :class:`~repro.results.store.ResultStore` are served from it (no
+    simulation), only the misses execute, and fresh rows are written back.
+    Because stored rows are rebound to the requesting grid index and
+    aggregation stays in run-index order, a warm campaign is byte-identical
+    to a cold one.
+
+    ``trace_store`` adds the second tier: every run that executes does so
+    with tracing on and persists its full tracer under the same content key
+    (:class:`~repro.traces.store.TraceStore`).  A run skips execution only
+    when **both** tiers hit — a metrics hit whose trace artifact is missing
+    (or stale-format) re-simulates to backfill the trace, which re-derives
+    the identical row (runs are pure functions of their specs).  The result's
+    :attr:`~CampaignResult.metrics_hits` / :attr:`~CampaignResult.trace_hits`
+    / :attr:`~CampaignResult.backfilled` break the scan down per tier.
+
+    ``manifest`` (a path or :class:`~repro.exec.manifest.CampaignManifest`)
+    journals the campaign as an append-only JSONL record of intent and
+    completion.  Resuming after a crash is
+    ``run_campaign(CampaignManifest(path).replay(), store=..., manifest=path)``:
+    the manifest is self-contained (every cell's canonical spec contents are
+    journalled), and the warm scan re-executes **only the cells whose content
+    keys are missing from the store tiers**, whatever states the journal last
+    saw.  Completions are journalled back, so resuming is idempotent.
+
+    ``sinks`` receive the full :class:`~repro.workload.runner.ScenarioResult`
+    of every run that actually executes (cache hits carry no tracer, so they
+    are not re-exported).
+
+    ``telemetry`` records the campaign's span tree: one ``campaign`` root
+    whose children are the per-cell trees in run-index order (cache hits
+    appear as closed ``cell`` spans marked ``cached=True``; orchestrated
+    campaigns prepend one ``executor`` accounting span per backend).
+    ``progress`` (``True`` for stderr, or any writable stream) repaints a
+    live done/total | hits | cells/s | ETA line as cells complete, with
+    per-executor in-flight counts when orchestrating.
+    """
     if workers <= 0:
         raise ValueError("workers must be positive")
-    runs = list(runs)
+    name = spec.name
+    runs = spec.expand()
     sinks = tuple(sinks)
     executors = _as_executors(executor)
     journal = _as_manifest(manifest)
     obs = telemetry if telemetry is not None else DISABLED
-    clock_factory = obs.clock_factory if obs.enabled else None
+    # The invariant context every cell runs against, wherever it runs.
+    context = WorkerContext(
+        sinks=sinks,
+        store=store,
+        trace_store=trace_store,
+        clock_factory=obs.clock_factory if obs.enabled else None,
+    )
     stream = sys.stderr if progress is True else (progress or None)
     line = ProgressLine(len(runs), stream) if stream is not None else None
     _log.info(
@@ -549,15 +551,7 @@ def execute_runs(
             if not misses:
                 pass
             elif executors is not None:
-                from repro.exec.base import WorkerContext
                 from repro.exec.orchestrator import orchestrate
-
-                context = WorkerContext(
-                    sinks=sinks,
-                    store=store,
-                    trace_store=trace_store,
-                    clock_factory=clock_factory,
-                )
 
                 def on_done(run, row, executor_name) -> None:
                     if journal is not None:
@@ -634,17 +628,7 @@ def execute_runs(
                     campaign.count("max_queue_depth", outcome.max_queue_depth)
             elif workers == 1:
                 collect(
-                    (
-                        _execute_and_summarise(
-                            run,
-                            sinks=sinks,
-                            trace_store=trace_store,
-                            store=store,
-                            clock_factory=clock_factory,
-                        )
-                        for run in misses
-                    ),
-                    journal_as="serial",
+                    (run_cell(run, context) for run in misses), journal_as="serial"
                 )
             else:
                 # The worker pool ships the invariant context (sinks, store
@@ -654,15 +638,8 @@ def execute_runs(
                 # by run index, so the unordered completion stream (which
                 # lets the progress line advance as cells land) still
                 # aggregates deterministically.
-                from repro.exec.base import WorkerContext
                 from repro.exec.local import pool_worker, worker_pool
 
-                context = WorkerContext(
-                    sinks=sinks,
-                    store=store,
-                    trace_store=trace_store,
-                    clock_factory=clock_factory,
-                )
                 processes = min(workers, len(misses))
                 with worker_pool(processes, context) as pool:
                     collect(
@@ -714,138 +691,69 @@ def execute_runs(
     )
 
 
-def run_campaign(
-    spec: CampaignSpec,
-    workers: int = 1,
+class _LiveResults:
+    """Sink that keeps the live results of the cells a campaign executes."""
+
+    def __init__(self) -> None:
+        self.results: dict[int, ScenarioResult] = {}
+
+    def write(self, run: RunSpec, result: ScenarioResult) -> None:
+        self.results[run.index] = result
+
+
+def run_scenario_pair(
+    workload: WorkloadRef,
+    sinks: Iterable["TraceSink"] = (),
     store: "ResultStore | None" = None,
-    sinks: Iterable["TraceSink"] = (),
     trace_store: "TraceStore | None" = None,
-    telemetry: Telemetry | None = None,
-    progress: "bool | TextIO" = False,
-    executor=None,
-    manifest=None,
-    timeout: float | None = None,
-    retries: int = 2,
-    backoff: float = 0.5,
-) -> CampaignResult:
-    """Execute every run of ``spec`` and aggregate the metrics.
+    **run_fields,
+) -> dict[str, "ScenarioResult | ScenarioReplay"]:
+    """Serial and DROM full results of one workload (the experiments' idiom).
 
-    ``workers=1`` executes in-process; ``workers>1`` fans the runs out over a
-    ``multiprocessing`` pool whose workers receive the invariant campaign
-    context once through the pool initializer.  ``executor`` overrides both:
-    one :class:`~repro.exec.base.Executor` (or a list of them — e.g. a local
-    pool plus two SSH hosts) dealt cells by the asyncio orchestrator
-    (:mod:`repro.exec.orchestrator`), with per-cell ``timeout``, bounded
-    ``retries`` with exponential ``backoff``, and graceful degradation when
-    a backend dies.  All paths return identical results for the same spec:
-    each run is a pure function of its :class:`RunSpec` and rows are
-    aggregated in run-index order regardless of completion order.
+    The pair is a 2-cell campaign: ``workload`` with scenarios
+    ``(SERIAL, DROM)`` and the :class:`RunSpec` fields in ``run_fields``
+    (``cluster``, ``policy``, ``scheduler``, ``interference_factor``), run
+    through :func:`run_campaign` with tracing on.
 
-    ``store`` memoises execution on the run's content hash: cells already in
-    the :class:`~repro.results.store.ResultStore` are served from it (no
-    simulation), only the misses execute, and fresh rows are written back.
-    Because stored rows are rebound to the requesting grid index and
-    aggregation stays in run-index order, a warm campaign is byte-identical
-    to a cold one.
+    ``store``/``trace_store`` are the two content-addressed tiers, given
+    both or neither (a metrics-only hit has no tracer to return).  A cell
+    that hits in both is not executed: a
+    :class:`~repro.traces.query.ScenarioReplay` (metrics row + stored
+    tracer, same reporting interface) is returned instead.  Any other cell
+    executes and writes both tiers back.  This is what lets the trace-based
+    figure experiments regenerate from a warm store without simulating.
 
-    ``trace_store`` adds the second tier: every run that executes does so
-    with tracing on and persists its full tracer under the same content key
-    (:class:`~repro.traces.store.TraceStore`).  A run skips execution only
-    when **both** tiers hit — a metrics hit whose trace artifact is missing
-    (or stale-format) re-simulates to backfill the trace, which re-derives
-    the identical row (runs are pure functions of their specs).  The result's
-    :attr:`~CampaignResult.metrics_hits` / :attr:`~CampaignResult.trace_hits`
-    / :attr:`~CampaignResult.backfilled` break the scan down per tier.
-
-    ``manifest`` (a path or :class:`~repro.exec.manifest.CampaignManifest`)
-    journals the campaign as an append-only JSONL record of intent and
-    completion — what :func:`resume_campaign` replays after a crash so only
-    the cells missing from the store tiers re-execute.
-
-    ``sinks`` receive the full :class:`~repro.workload.runner.ScenarioResult`
-    of every run that actually executes (cache hits carry no tracer, so they
-    are not re-exported).
-
-    ``telemetry`` records the campaign's span tree: one ``campaign`` root
-    whose children are the per-cell trees in run-index order (cache hits
-    appear as closed ``cell`` spans marked ``cached=True``; orchestrated
-    campaigns prepend one ``executor`` accounting span per backend).
-    ``progress`` (``True`` for stderr, or any writable stream) repaints a
-    live done/total | hits | cells/s | ETA line as cells complete, with
-    per-executor in-flight counts when orchestrating.
+    ``sinks`` receive both scenarios' results, live or replayed, so the
+    figure experiments export their traces through the same sink API as
+    campaigns.
     """
-    return execute_runs(
-        spec.name,
-        spec.expand(),
-        workers=workers,
-        store=store,
-        sinks=sinks,
-        trace_store=trace_store,
-        telemetry=telemetry,
-        progress=progress,
-        executor=executor,
-        manifest=manifest,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-    )
-
-
-def resume_campaign(
-    manifest,
-    store: "ResultStore",
-    workers: int = 1,
-    sinks: Iterable["TraceSink"] = (),
-    trace_store: "TraceStore | None" = None,
-    telemetry: Telemetry | None = None,
-    progress: "bool | TextIO" = False,
-    executor=None,
-    timeout: float | None = None,
-    retries: int = 2,
-    backoff: float = 0.5,
-) -> CampaignResult:
-    """Resume a crashed or partially executed campaign from its manifest.
-
-    The manifest is self-contained (every cell's canonical spec contents are
-    journalled with its ``pending`` line), so no campaign grid flags are
-    needed: the run list is rebuilt from the journal, and the normal warm
-    scan against ``store`` (and ``trace_store`` if given) decides what still
-    executes — **only the cells whose content keys are missing from the
-    store tiers re-run**, regardless of what states the journal last saw.
-    Completions are journalled back into the same manifest, so resuming is
-    idempotent and re-entrant.
-    """
-    journal = _as_manifest(manifest)
-    if journal is None:
-        raise ValueError("resume requires a manifest path")
-    if store is None:
+    if (store is None) != (trace_store is None):
         raise ValueError(
-            "resume requires the campaign's result store — without it every "
-            "cell would re-execute"
+            "run_scenario_pair takes both store tiers or neither: a "
+            "metrics-only hit has no tracer to return"
         )
-    state = journal.replay()
-    if not state.cells:
-        raise ValueError(f"manifest {journal.path} records no cells")
-    runs = state.runs()
-    _log.info(
-        "resuming campaign %r from %s: %d journalled cell(s), %d marked done",
-        state.name,
-        journal.path,
-        len(runs),
-        len(state.done),
+    sinks = tuple(sinks)
+    template = RunSpec(index=0, scenario=SERIAL, workload=workload, **run_fields)
+    spec = CampaignSpec(
+        name="scenario-pair",
+        workloads=(workload,),
+        scenarios=(SERIAL, DROM),
+        clusters=(template.cluster,),
+        policies=(template.policy,),
+        schedulers=(template.scheduler,),
+        interference_factor=template.interference_factor,
     )
-    return execute_runs(
-        state.name,
-        runs,
-        workers=workers,
-        store=store,
-        sinks=sinks,
-        trace_store=trace_store,
-        telemetry=telemetry,
-        progress=progress,
-        executor=executor,
-        manifest=journal,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-    )
+    live = _LiveResults()
+    campaign = run_campaign(spec, store=store, sinks=(live,), trace_store=trace_store)
+    results: dict[str, ScenarioResult | ScenarioReplay] = {}
+    for row in campaign.rows:
+        run = row.run
+        result = live.results.get(run.index)
+        if result is None:
+            from repro.traces.query import replay_scenario
+
+            result = replay_scenario(run, row, trace_store.get(run))
+        for sink in sinks:
+            sink.write(run, result)
+        results[run.scenario] = result
+    return results

@@ -18,35 +18,39 @@ The campaign runner's distributed seam (see ``docs/distributed.md``):
 * :mod:`repro.exec.manifest` — the append-only resumable campaign journal.
 """
 
-from repro.exec.base import Executor, ExecutorDied, ExecutorError, WorkerContext
-from repro.exec.local import LocalPoolExecutor, worker_pool
-from repro.exec.manifest import DONE, FAILED, PENDING, CampaignManifest, ManifestState
-from repro.exec.orchestrator import (
-    CampaignExecutionError,
-    ExecutorStats,
-    OrchestrationOutcome,
-    orchestrate,
-)
-from repro.exec.slurm import SlurmArrayExecutor, SlurmSubmission
-from repro.exec.ssh import SSHExecutor
+import importlib
 
-__all__ = [
-    "DONE",
-    "FAILED",
-    "PENDING",
-    "CampaignExecutionError",
-    "CampaignManifest",
-    "Executor",
-    "ExecutorDied",
-    "ExecutorError",
-    "ExecutorStats",
-    "LocalPoolExecutor",
-    "ManifestState",
-    "OrchestrationOutcome",
-    "SSHExecutor",
-    "SlurmArrayExecutor",
-    "SlurmSubmission",
-    "WorkerContext",
-    "orchestrate",
-    "worker_pool",
-]
+#: Public name -> the submodule defining it.  Submodules load on first
+#: access, so importing :mod:`repro.exec.base` (the ``WorkerContext`` every
+#: campaign cell runs against, serial cells included) or starting
+#: ``python -m repro.exec.worker`` does not pull in asyncio and
+#: multiprocessing.
+_HOMES = {
+    "DONE": "manifest",
+    "FAILED": "manifest",
+    "PENDING": "manifest",
+    "CampaignExecutionError": "orchestrator",
+    "CampaignManifest": "manifest",
+    "Executor": "base",
+    "ExecutorDied": "base",
+    "ExecutorError": "base",
+    "ExecutorStats": "orchestrator",
+    "LocalPoolExecutor": "local",
+    "ManifestState": "manifest",
+    "OrchestrationOutcome": "orchestrator",
+    "SSHExecutor": "ssh",
+    "SlurmArrayExecutor": "slurm",
+    "SlurmSubmission": "slurm",
+    "WorkerContext": "base",
+    "orchestrate": "orchestrator",
+    "worker_pool": "local",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)

@@ -9,9 +9,9 @@ invariant context.  This module fixes that seam (and the
 initializer into a process-global, and per cell only the
 :class:`~repro.campaign.spec.RunSpec` crosses the wire.
 
-Determinism is untouched: workers still run the same pure
-``_execute_and_summarise`` path, rows are keyed by grid index, and both
-store tiers write atomically under content keys.
+Determinism is untouched: workers run the same
+:func:`~repro.campaign.runner.run_cell` as the serial path, rows are keyed
+by grid index, and both store tiers write atomically under content keys.
 """
 
 from __future__ import annotations
@@ -62,15 +62,9 @@ def pool_worker(run: "RunSpec") -> "tuple[RunMetrics, Span | None]":
             "worker pool was not initialised with a WorkerContext "
             "(use worker_pool() or LocalPoolExecutor)"
         )
-    from repro.campaign.runner import _execute_and_summarise
+    from repro.campaign.runner import run_cell
 
-    return _execute_and_summarise(
-        run,
-        sinks=context.sinks,
-        trace_store=context.trace_store,
-        store=context.store,
-        clock_factory=context.clock_factory,
-    )
+    return run_cell(run, context)
 
 
 @contextmanager

@@ -73,10 +73,16 @@ class ManifestState:
     #: cell's identity; later generations never change it).
     cells: dict = field(default_factory=dict)
 
-    def runs(self) -> list["RunSpec"]:
-        """Every recorded cell as a :class:`RunSpec`, in grid-index order."""
+    def expand(self) -> list["RunSpec"]:
+        """Every recorded cell as a :class:`RunSpec`, in grid-index order —
+        the run list a resume drives through
+        :func:`~repro.campaign.runner.run_campaign` (which reads only this
+        and :attr:`name`).  Raises ``ValueError`` when the manifest is
+        missing or records no cells."""
         from repro.results.store import spec_from_contents
 
+        if not self.cells:
+            raise ValueError("the manifest records no cells")
         payloads = sorted(self.cells.values(), key=lambda c: c["index"])
         return [spec_from_contents(c["run"], index=c["index"]) for c in payloads]
 

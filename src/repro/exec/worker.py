@@ -8,18 +8,22 @@ what a Slurm array task runs on a compute node:
 JSONL response per line on stdout, flushed per line so the driver can await
 each result::
 
-    {"op": "config", "store": "...", "trace_store": "...", "batching": true}
+    {"op": "config", "store": "...", "trace_store": "..."}
     {"op": "run", "index": 3, "run": {<canonical spec contents>}}
     {"op": "shutdown"}
 
-Every ``run`` request executes one cell (writing the configured store tiers
-locally — on a shared filesystem that *is* the campaign's cache) and
-responds ``{"ok": true, "index": ..., "key": ..., "row": {...}}`` with the
-metrics row in the store's exact serialisation, so the driver reconstructs
-a byte-identical :class:`~repro.campaign.runner.RunMetrics`.  A cell that
+``config`` names the store tiers (both optional) once; every ``run``
+request then executes one cell through
+:func:`~repro.campaign.runner.run_cell`, the campaign's one cell body
+(writing the configured store tiers locally — on a shared filesystem that
+*is* the campaign's cache), and responds
+``{"ok": true, "index": ..., "key": ..., "row": {...}}`` with the metrics
+row in the store's exact serialisation, so the driver reconstructs a
+byte-identical :class:`~repro.campaign.runner.RunMetrics`.  A cell that
 raises responds ``{"ok": false, "index": ..., "error": "..."}`` and the
-worker keeps serving — cell failures are transient, protocol failures are
-fatal (non-zero exit).
+worker keeps serving — cell failures are transient, protocol failures (a
+line that is not a JSON request, a non-integer ``index``, an unknown op)
+are fatal: ``{"ok": false, "error": ...}`` and exit status 2.
 
 **Batch mode** (Slurm array tasks): ``--cells FILE --index I [--offset K]``
 executes line ``K + I`` of a cells file (one ``{"index", "run"}`` JSON
@@ -36,10 +40,13 @@ import json
 import sys
 from typing import TextIO
 
+from repro.exec.base import WorkerContext
+
 __all__ = ["main", "serve_stream", "run_batch_cell"]
 
 
-def _build_stores(store_root, trace_root):
+def _context(store_root, trace_root) -> WorkerContext:
+    """The worker's cell context: the store tiers it was configured with."""
     store = trace_store = None
     if store_root:
         from repro.results.store import ResultStore
@@ -49,32 +56,23 @@ def _build_stores(store_root, trace_root):
         from repro.traces.store import TraceStore
 
         trace_store = TraceStore(trace_root)
-    return store, trace_store
+    return WorkerContext(store=store, trace_store=trace_store)
 
 
-def _execute_cell(payload: dict, index: int, store, trace_store, batching: bool):
-    """Run one cell from its canonical spec contents; returns the row."""
-    from repro.campaign.runner import execute_run, summarise_run
+def _execute_cell(payload: dict, index: int, context: WorkerContext):
+    """Run one cell from its canonical spec contents; returns ``(run, row)``."""
+    from repro.campaign.runner import run_cell
     from repro.results.store import spec_from_contents
 
     run = spec_from_contents(payload, index=index)
-    result = execute_run(
-        run, trace=trace_store is not None, batching=batching
-    )
-    row = summarise_run(run, result)
-    if store is not None:
-        store.put(row)
-    if trace_store is not None:
-        trace_store.put(run, result)
-    return run, row
+    return run, run_cell(run, context)[0]
 
 
 def serve_stream(stdin: TextIO, stdout: TextIO) -> int:
     """The stream-mode request loop (stdin/stdout injectable for tests)."""
     from repro.results.store import content_key, metrics_to_payload
 
-    store = trace_store = None
-    batching = True
+    context = WorkerContext()
 
     def respond(payload: dict) -> None:
         stdout.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -87,25 +85,20 @@ def serve_stream(stdin: TextIO, stdout: TextIO) -> int:
         try:
             request = json.loads(line)
             op = request["op"]
+            index = int(request.get("index", 0))
         except (ValueError, KeyError, TypeError):
             respond({"ok": False, "error": f"malformed request line: {line[:200]!r}"})
             return 2
         if op == "config":
             try:
-                store, trace_store = _build_stores(
-                    request.get("store"), request.get("trace_store")
-                )
-                batching = bool(request.get("batching", True))
+                context = _context(request.get("store"), request.get("trace_store"))
             except Exception as exc:
                 respond({"ok": False, "op": "config", "error": f"{type(exc).__name__}: {exc}"})
                 return 2
             respond({"ok": True, "op": "config"})
         elif op == "run":
-            index = int(request.get("index", 0))
             try:
-                run, row = _execute_cell(
-                    request["run"], index, store, trace_store, batching
-                )
+                run, row = _execute_cell(request["run"], index, context)
             except Exception as exc:  # cell failure: report, keep serving
                 respond(
                     {
@@ -148,12 +141,12 @@ def run_batch_cell(args: argparse.Namespace) -> int:
         )
         return 2
     cell = cells[position]
-    store, trace_store = _build_stores(args.store, args.trace_store)
+    context = _context(args.store, args.trace_store)
     manifest = CampaignManifest(args.manifest) if args.manifest else None
     index = int(cell.get("index", position))
     key = None
     try:
-        run, row = _execute_cell(cell["run"], index, store, trace_store, True)
+        run, row = _execute_cell(cell["run"], index, context)
         key = content_key(run)
     except Exception as exc:
         if manifest is not None and key is None:

@@ -9,8 +9,8 @@ printed by the benchmarks or asserted by the tests.
 All of them now go through the campaign subsystem: the figure sweeps expand
 to a :class:`~repro.campaign.spec.CampaignSpec` grid (so they can be executed
 on a worker pool like any other campaign), and the trace-based figures use
-:func:`~repro.campaign.runner.run_scenario_pair` on the same declarative
-workload references.
+:func:`~repro.campaign.runner.run_scenario_pair` — a 2-cell campaign — on
+the same declarative workload references.
 """
 
 from __future__ import annotations
@@ -230,8 +230,9 @@ def imbalance_trace(
     chunks are executed by a subset of the remaining threads, which therefore
     stay busy while the others show idle time.
 
-    With both store tiers given (``store`` for metrics, ``trace_store`` for
-    traces), a warm call replays the stored trace instead of simulating.
+    ``store`` (metrics) and ``trace_store`` (traces) are given both or
+    neither; with both, a warm call replays the stored trace instead of
+    simulating.
     """
     ref = InSituWorkloadRef(simulator, simulator_config, "Pils", analytics_config)
     result = run_scenario_pair(ref, store=store, trace_store=trace_store)[DROM]
@@ -290,8 +291,9 @@ def scenario_timelines(
     """Reproduce the Figure 3 schematic from actual simulated runs.
 
     ``sinks`` export both scenarios' traces via the
-    :class:`~repro.results.sinks.TraceSink` API.  With both store tiers
-    given, warm calls replay stored traces instead of simulating.
+    :class:`~repro.results.sinks.TraceSink` API.  ``store`` and
+    ``trace_store`` are given both or neither; with both, warm calls replay
+    stored traces instead of simulating.
     """
     ref = InSituWorkloadRef(simulator, simulator_config, analytics, analytics_config)
     results = run_scenario_pair(ref, sinks=sinks, store=store, trace_store=trace_store)

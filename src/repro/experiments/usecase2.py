@@ -196,9 +196,10 @@ def run_usecase2(
     exactly these traces, so exporting them as ``.prv``/JSONL makes the
     use case inspectable post hoc.
 
-    ``store``/``trace_store`` are the metrics and trace tiers: scenarios
-    whose cells hit in both are replayed instead of simulated (Figures 13
-    and 14 after one cold run), and misses write both tiers back.  The
+    ``store``/``trace_store`` are the metrics and trace tiers, given both
+    or neither: scenarios whose cells hit in both are replayed instead of
+    simulated (Figures 13 and 14 after one cold run), and misses write both
+    tiers back.  The
     cells share their content keys with :func:`usecase2_responses`'s
     campaign, so one warm store serves Figures 13–15 together.
     """

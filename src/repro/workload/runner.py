@@ -220,37 +220,6 @@ class ScenarioRunner:
         )
 
 
-def run_both_scenarios(
-    workload: Workload,
-    cluster: ClusterTopology | None = None,
-    policy: DistributionPolicy | None = None,
-    interference: Callable[[str, str, list[str]], float] | None = None,
-    node_policy=None,
-    backfill: bool = False,
-    batching: bool = True,
-) -> dict[str, ScenarioResult]:
-    """Run the Serial and DROM scenarios of the same workload.
-
-    Every runner option is forwarded to *both* :class:`ScenarioRunner`\\ s, so
-    a comparison configured with e.g. ``backfill=True`` really compares two
-    backfilling controllers (historically only ``cluster``/``policy`` passed
-    through and the rest were silently dropped).
-    """
-    results = {}
-    for drom_enabled in (False, True):
-        runner = ScenarioRunner(
-            drom_enabled,
-            cluster=cluster,
-            policy=policy,
-            interference=interference,
-            node_policy=node_policy,
-            backfill=backfill,
-            batching=batching,
-        )
-        results[runner.scenario] = runner.run(workload)
-    return results
-
-
 class _RunState:
     """Mutable state of one scenario execution (one engine, one SLURM stack)."""
 

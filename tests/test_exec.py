@@ -13,12 +13,12 @@ import pytest
 from repro.campaign import (
     CampaignSpec,
     SyntheticWorkloadRef,
-    execute_runs,
-    resume_campaign,
     run_campaign,
+    run_scenario_pair,
+    summarise_run,
 )
 from repro.campaign.__main__ import main as campaign_cli
-from repro.campaign.runner import _execute_and_summarise
+from repro.campaign.runner import run_cell
 from repro.exec import (
     DONE,
     FAILED,
@@ -39,7 +39,12 @@ from repro.exec.local import pool_worker
 from repro.exec.worker import main as worker_cli
 from repro.exec.worker import serve_stream
 from repro.obs.progress import ProgressLine
-from repro.results.store import ResultStore, content_key, spec_contents
+from repro.results.store import (
+    ResultStore,
+    content_key,
+    metrics_from_payload,
+    spec_contents,
+)
 from repro.traces.store import TraceStore
 from repro.workload.generator import WorkloadSpec
 
@@ -76,14 +81,7 @@ class _InProcessExecutor(Executor):
 
     async def run_cell(self, run):
         self.calls.append(run.index)
-        context = self.context
-        return _execute_and_summarise(
-            run,
-            sinks=context.sinks,
-            trace_store=context.trace_store,
-            store=context.store,
-            clock_factory=context.clock_factory,
-        )
+        return run_cell(run, self.context)
 
 
 class _FlakyExecutor(_InProcessExecutor):
@@ -136,7 +134,7 @@ class TestManifest:
         assert state.name == "sweep"
         assert state.total == len(runs)
         assert set(state.states.values()) == {PENDING}
-        rebuilt = state.runs()
+        rebuilt = state.expand()
         assert [r.index for r in rebuilt] == [r.index for r in runs]
         assert [spec_contents(r) for r in rebuilt] == [spec_contents(r) for r in runs]
 
@@ -358,9 +356,9 @@ class TestResume:
         # Simulate a campaign killed mid-shard: the manifest was begun and
         # one cell's artifacts landed before the crash.
         manifest.begin(spec.name, runs)
-        _execute_and_summarise(runs[0], store=store)
+        run_cell(runs[0], WorkerContext(store=store))
         manifest.record(content_key(runs[0]), DONE, index=0)
-        result = resume_campaign(manifest.path, store)
+        result = run_campaign(manifest.replay(), store=store, manifest=manifest)
         assert result.executed == len(runs) - 1
         assert result.cache_hits == 1
         assert result.rows == serial_result.rows
@@ -377,7 +375,11 @@ class TestResume:
         run_campaign(spec, store=store, manifest=manifest_path)
         victim = spec.expand()[0]
         store.remove(content_key(victim))
-        result = resume_campaign(manifest_path, store)
+        result = run_campaign(
+            CampaignManifest(manifest_path).replay(),
+            store=store,
+            manifest=manifest_path,
+        )
         assert result.executed == 1
         assert result.cache_hits == len(spec.expand()) - 1
         assert result.rows == serial_result.rows
@@ -398,8 +400,11 @@ class TestResume:
             )
         survivors = len(crashed_store)
         assert 0 < survivors < spec.nruns
-        result = resume_campaign(
-            manifest_path, crashed_store, executor=LocalPoolExecutor(slots=1)
+        result = run_campaign(
+            CampaignManifest(manifest_path).replay(),
+            store=crashed_store,
+            manifest=manifest_path,
+            executor=LocalPoolExecutor(slots=1),
         )
         assert result.executed == spec.nruns - survivors
         clean_store = ResultStore(tmp_path / "clean")
@@ -412,12 +417,75 @@ class TestResume:
             )
 
     def test_resume_requires_store_and_cells(self, tmp_path):
-        with pytest.raises(ValueError, match="result store"):
-            resume_campaign(tmp_path / "m.jsonl", None)
+        # The store half is the CLI's (test_cli_resume_requires_store).
+        with pytest.raises(ValueError, match="no cells"):
+            CampaignManifest(tmp_path / "m.jsonl").replay().expand()
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         with pytest.raises(ValueError, match="no cells"):
-            resume_campaign(empty, ResultStore(tmp_path / "store"))
+            CampaignManifest(empty).replay().expand()
+
+
+def _stream_worker(spec, store, trace_store):
+    runs = spec.expand()
+    requests = (
+        [{"op": "config", "store": str(store.root), "trace_store": str(trace_store.root)}]
+        + [{"op": "run", "index": r.index, "run": spec_contents(r)} for r in runs]
+        + [{"op": "shutdown"}]
+    )
+    stdout = io.StringIO()
+    stdin = io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
+    assert serve_stream(stdin, stdout) == 0
+    responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    return tuple(
+        metrics_from_payload(run, resp["row"]) for run, resp in zip(runs, responses[1:-1])
+    )
+
+
+def _scenario_pair(spec, store, trace_store):
+    results = run_scenario_pair(spec.workloads[0], store=store, trace_store=trace_store)
+    return tuple(summarise_run(run, results[run.scenario]) for run in spec.expand())
+
+
+#: Every place a cell runs: name -> (spec, store, trace_store) -> rows.
+RUN_PATHS = {
+    "serial": lambda spec, m, t: run_campaign(spec, store=m, trace_store=t).rows,
+    "pool": lambda spec, m, t: run_campaign(
+        spec, workers=2, store=m, trace_store=t
+    ).rows,
+    "local-executor": lambda spec, m, t: run_campaign(
+        spec, store=m, trace_store=t, executor=LocalPoolExecutor(slots=1)
+    ).rows,
+    "stream-worker": _stream_worker,
+    "scenario-pair": _scenario_pair,
+}
+
+
+def _run_path(name, root):
+    rows = RUN_PATHS[name](
+        small_sweep(1), ResultStore(root / "metrics"), TraceStore(root / "traces")
+    )
+    files = {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for tier in ("metrics", "traces")
+        for path in sorted((root / tier).rglob("*"))
+        if path.is_file()
+    }
+    return rows, files
+
+
+@pytest.fixture(scope="module")
+def serial_cell_bytes(tmp_path_factory):
+    return _run_path("serial", tmp_path_factory.mktemp("serial"))
+
+
+@pytest.mark.parametrize("name", list(RUN_PATHS))
+def test_every_run_path_writes_the_same_bytes(name, tmp_path, serial_cell_bytes):
+    rows, files = _run_path(name, tmp_path)
+    reference_rows, reference_files = serial_cell_bytes
+    assert len(rows) == 2 and rows == reference_rows
+    # One entry per cell in each tier, byte for byte.
+    assert len(files) == 4 and files == reference_files
 
 
 class TestWorkerProtocol:
@@ -469,9 +537,13 @@ class TestWorkerProtocol:
         assert responses[2]["ok"] is True
 
     def test_stream_mode_malformed_request_is_fatal(self):
-        stdin = io.StringIO("this is not json\n")
-        stdout = io.StringIO()
-        assert serve_stream(stdin, stdout) == 2
+        for line in (
+            "this is not json",
+            json.dumps({"op": "run", "index": "x", "run": {}}),
+        ):
+            stdout = io.StringIO()
+            assert serve_stream(io.StringIO(line + "\n"), stdout) == 2
+            assert json.loads(stdout.getvalue())["ok"] is False
 
     def test_batch_mode_executes_one_cell_and_journals(self, tmp_path):
         runs = small_sweep().expand()
@@ -667,6 +739,21 @@ class TestExecutorCli:
         with pytest.raises(SystemExit):
             campaign_cli(["--resume", str(tmp_path / "m.jsonl")])
         assert "--resume requires --store" in capsys.readouterr().err
+
+    def test_cli_resume_of_missing_or_empty_manifest_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        for manifest in (tmp_path / "nope.jsonl", empty):
+            with pytest.raises(SystemExit) as exit_info:
+                campaign_cli(
+                    ["--resume", str(manifest), "--store", str(tmp_path / "S")]
+                )
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert "records no cells" in captured.err
+            assert "Traceback" not in captured.err
 
 
 class TestProgressStatus:

@@ -16,8 +16,14 @@ from repro.cpuset.topology import ClusterTopology
 from repro.slurm.jobs import JobSpec
 from repro.slurm.policies import FirstFit, LeastAllocatedFirst, LowestUtilisationFirst
 from repro.slurm.slurmctld import NodeState, Slurmctld
-from repro.workload.runner import DROM, SERIAL, run_both_scenarios
+from repro.workload.runner import DROM, SERIAL, ScenarioRunner
 from repro.workload.workloads import in_situ_workload
+
+
+def run_both(workload):
+    """Serial and DROM results of ``workload``."""
+    runners = (ScenarioRunner(False), ScenarioRunner(True))
+    return {runner.scenario: runner.run(workload) for runner in runners}
 
 
 class TestProcessStats:
@@ -153,7 +159,7 @@ class TestNodeSelectionPolicies:
 
 class TestRunnerStatsIntegration:
     def test_job_stats_collected_per_scenario(self):
-        results = run_both_scenarios(in_situ_workload("NEST", "Conf. 1", "Pils", "Conf. 2"))
+        results = run_both(in_situ_workload("NEST", "Conf. 1", "Pils", "Conf. 2"))
         for scenario in (SERIAL, DROM):
             result = results[scenario]
             assert set(result.job_stats.keys()) == {"NEST Conf. 1", "Pils Conf. 2"}
@@ -164,14 +170,14 @@ class TestRunnerStatsIntegration:
                 assert 0.0 < record.utilisation <= 1.0
 
     def test_drom_run_reports_mask_changes_serial_does_not(self):
-        results = run_both_scenarios(in_situ_workload("NEST", "Conf. 1", "Pils", "Conf. 2"))
+        results = run_both(in_situ_workload("NEST", "Conf. 1", "Pils", "Conf. 2"))
         drom_changes = sum(r.mask_changes for r in results[DROM].job_stats["NEST Conf. 1"])
         serial_changes = sum(r.mask_changes for r in results[SERIAL].job_stats["NEST Conf. 1"])
         assert drom_changes >= 2
         assert serial_changes == 0
 
     def test_job_utilisation_helper(self):
-        results = run_both_scenarios(in_situ_workload("NEST", "Conf. 1", "Pils", "Conf. 2"))
+        results = run_both(in_situ_workload("NEST", "Conf. 1", "Pils", "Conf. 2"))
         drom = results[DROM]
         assert 0.5 <= drom.job_utilisation("NEST Conf. 1") <= 1.0
         assert drom.job_utilisation("unknown job") == 0.0

@@ -383,12 +383,15 @@ class TestScenarioReplay:
             assert (warm_dir / name).read_text() == (cold_dir / name).read_text()
 
     def test_metrics_only_store_still_executes(self, tmp_path):
-        # Without the trace tier the pair must not try to replay.
+        # A metrics-only hit has no tracer to return: the pair takes both
+        # tiers or neither.
         ref = SyntheticWorkloadRef(spec=SMALL, seed=0)
-        store = ResultStore(tmp_path / "m")
-        run_scenario_pair(ref, cluster=ClusterRef(nnodes=4), store=store)
-        again = run_scenario_pair(ref, cluster=ClusterRef(nnodes=4), store=store)
-        assert all(not r.replayed for r in again.values())
+        for tier in (
+            {"store": ResultStore(tmp_path / "m")},
+            {"trace_store": TraceStore(tmp_path / "t")},
+        ):
+            with pytest.raises(ValueError, match="both store tiers or neither"):
+                run_scenario_pair(ref, cluster=ClusterRef(nnodes=4), **tier)
 
 
 class TestWarmFigures:

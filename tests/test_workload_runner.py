@@ -6,7 +6,7 @@ import pytest
 
 from repro.cpuset.distribution import EquipartitionPolicy
 from repro.metrics.collect import relative_improvement
-from repro.workload.runner import DROM, SERIAL, ScenarioRunner, run_both_scenarios
+from repro.workload.runner import DROM, SERIAL, ScenarioRunner
 from repro.workload.workloads import (
     Workload,
     WorkloadJob,
@@ -17,10 +17,16 @@ from repro.workload import configs
 from repro.runtime.process import ThreadModel
 
 
+def run_both(workload, **options):
+    """Serial and DROM results of ``workload``, ``options`` to both runners."""
+    runners = (ScenarioRunner(False, **options), ScenarioRunner(True, **options))
+    return {runner.scenario: runner.run(workload) for runner in runners}
+
+
 @pytest.fixture(scope="module")
 def nest_pils_results():
     """Both scenarios of the NEST Conf. 1 + Pils Conf. 2 workload (shared)."""
-    return run_both_scenarios(in_situ_workload("NEST", "Conf. 1", "Pils", "Conf. 2"))
+    return run_both(in_situ_workload("NEST", "Conf. 1", "Pils", "Conf. 2"))
 
 
 class TestSerialScenario:
@@ -118,7 +124,7 @@ class TestRunnerVariants:
             name="solo NEST",
             jobs=(WorkloadJob(app=configs.nest("Conf. 1"), submit_time=0.0),),
         )
-        results = run_both_scenarios(workload)
+        results = run_both(workload)
         assert results[SERIAL].metrics.total_run_time == pytest.approx(
             results[DROM].metrics.total_run_time, rel=1e-9
         )
@@ -219,7 +225,7 @@ class TestUseCase2Workload:
         assert workload.jobs[1].priority > workload.jobs[0].priority
 
     def test_coreneuron_expands_after_nest_ends(self):
-        results = run_both_scenarios(high_priority_workload())
+        results = run_both(high_priority_workload())
         drom = results[DROM]
         changes = drom.tracer.mask_changes("CoreNeuron Conf. 1")
         assert any(c.new_threads == 16 for c in changes)
@@ -229,41 +235,12 @@ class TestUseCase2Workload:
 
 
 class TestRunBothScenariosForwarding:
-    """Regression: run_both_scenarios used to forward only cluster/policy and
-    silently dropped backfill, node_policy, interference and batching."""
-
-    def test_every_option_reaches_both_runners(self, monkeypatch):
-        captured = []
-        real = ScenarioRunner
-
-        class Recorder(real):
-            def __init__(self, drom_enabled, **kwargs):
-                captured.append((drom_enabled, dict(kwargs)))
-                super().__init__(drom_enabled, **kwargs)
-
-        monkeypatch.setattr("repro.workload.runner.ScenarioRunner", Recorder)
-
-        def interference(job, node, co_runners):
-            return 1.0
-
-        run_both_scenarios(
-            in_situ_workload("NEST", "Conf. 1", "Pils", "Conf. 2"),
-            interference=interference,
-            node_policy="first-fit",
-            backfill=True,
-            batching=False,
-        )
-        assert [drom for drom, _ in captured] == [False, True]
-        for _drom, kwargs in captured:
-            assert kwargs["backfill"] is True
-            assert kwargs["node_policy"] == "first-fit"
-            assert kwargs["interference"] is interference
-            assert kwargs["batching"] is False
+    """Runner options reach both scenarios of a comparison."""
 
     def test_interference_slows_the_drom_scenario(self):
         workload = in_situ_workload("NEST", "Conf. 1", "Pils", "Conf. 2")
-        base = run_both_scenarios(workload)
-        slowed = run_both_scenarios(
+        base = run_both(workload)
+        slowed = run_both(
             workload,
             interference=lambda job, node, co: 2.0 if co else 1.0,
         )
