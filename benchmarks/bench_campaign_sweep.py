@@ -21,7 +21,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.obs.telemetry import Telemetry
-from repro.results import ResultStore
+from repro.results.store import ResultStore
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL
 

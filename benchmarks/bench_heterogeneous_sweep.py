@@ -20,7 +20,7 @@ from repro.campaign import (
     SyntheticWorkloadRef,
     run_campaign,
 )
-from repro.results import ResultStore
+from repro.results.store import ResultStore
 from repro.workload.generator import BURSTY, WorkloadSpec, heavy_tailed_size_mix
 from repro.workload.runner import DROM, SERIAL
 

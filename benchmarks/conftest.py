@@ -45,7 +45,7 @@ def warm_store(results_dir):
     survives sessions — delete it (or ``python -m repro.results gc``) to
     force a re-simulation.
     """
-    from repro.results import ResultStore
+    from repro.results.store import ResultStore
 
     return ResultStore(results_dir / "store")
 
@@ -63,6 +63,6 @@ def warm_trace_store(results_dir):
     ``python -m repro.traces ls`` inspects it; ``gc``/deleting the directory
     forces a re-simulation.
     """
-    from repro.traces import TraceStore
+    from repro.traces.store import TraceStore
 
     return TraceStore(results_dir / "traces")

@@ -12,7 +12,7 @@ Run with::
     python examples/high_priority_job.py
 """
 
-from repro.experiments import run_usecase2
+from repro.experiments.usecase2 import run_usecase2
 
 
 def main() -> None:

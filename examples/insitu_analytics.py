@@ -17,7 +17,8 @@ where ``pils-config`` is ``"Conf. 1"``, ``"Conf. 2"`` (default) or ``"Conf. 3"``
 import sys
 
 from repro.campaign import InSituWorkloadRef, run_scenario_pair
-from repro.metrics import ParaverView, relative_improvement
+from repro.metrics.collect import relative_improvement
+from repro.metrics.paraver import ParaverView
 
 
 def main(pils_config: str = "Conf. 2") -> None:

@@ -18,6 +18,11 @@ into the local metrics tier.  Pass ``shared_filesystem=True`` (loopback, or
 a cluster with a shared scratch) to ship the store roots in the ``config``
 handshake instead, letting workers write both tiers directly.
 
+All ``slots`` workers spawn concurrently; if any of them fails its
+``config`` handshake, :meth:`SSHExecutor.start` kills the ones that came up
+and raises the first error.  Workers never import numpy: the cell path
+needs only the simulation, the store tiers and the JSON protocol.
+
 Failure handling: a channel whose process dies or answers garbage is killed
 and respawned once; the interrupted cell surfaces as a transient
 :class:`~repro.exec.base.ExecutorError` (the orchestrator retries it — safe,
@@ -186,11 +191,22 @@ class SSHExecutor(Executor):
                 "run sink-exporting campaigns on a local executor"
             )
         await super().start(context)
+        # Spawn every slot at once: each worker's handshake waits on its
+        # interpreter's start-up, so the slots overlap instead of queueing.
+        spawned = await asyncio.gather(
+            *(self._spawn(f"{self.name}#{i}") for i in range(self.slots)),
+            return_exceptions=True,
+        )
+        channels = [c for c in spawned if isinstance(c, _Channel)]
+        if len(channels) < self.slots:
+            # The orchestrator never closes an executor whose start raised,
+            # so the workers that did come up must not outlive this call.
+            await asyncio.gather(*(channel.kill() for channel in channels))
+            raise next(e for e in spawned if not isinstance(e, _Channel))
         self._channels = asyncio.Queue()
-        for i in range(self.slots):
-            channel = await self._spawn(f"{self.name}#{i}")
+        for channel in channels:
             self._channels.put_nowait(channel)
-            self._alive += 1
+        self._alive = len(channels)
         _log.debug("%s: started %d worker channel(s)", self.name, self.slots)
 
     # -- execution ---------------------------------------------------------------

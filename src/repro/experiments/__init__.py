@@ -1,49 +1,6 @@
-"""Experiment drivers: one module per use case plus table/figure rendering."""
+"""Experiment drivers: one module per use case plus table/figure rendering.
 
-from repro.experiments.usecase1 import (
-    ImbalanceTrace,
-    ScenarioTimeline,
-    WorkloadComparison,
-    compare_workload,
-    imbalance_trace,
-    scenario_timelines,
-    simulator_average_response,
-    simulator_pils_response,
-    simulator_pils_run_time,
-    simulator_stream,
-)
-from repro.experiments.usecase2 import (
-    UseCase2Responses,
-    UseCase2Result,
-    run_usecase2,
-    usecase2_responses,
-)
-from repro.experiments.tables import (
-    render_average_response_figure,
-    render_response_figure,
-    render_run_time_figure,
-    render_table,
-    render_table1,
-)
-
-__all__ = [
-    "WorkloadComparison",
-    "compare_workload",
-    "simulator_pils_run_time",
-    "simulator_pils_response",
-    "simulator_stream",
-    "simulator_average_response",
-    "imbalance_trace",
-    "ImbalanceTrace",
-    "scenario_timelines",
-    "ScenarioTimeline",
-    "UseCase2Result",
-    "UseCase2Responses",
-    "run_usecase2",
-    "usecase2_responses",
-    "render_table",
-    "render_table1",
-    "render_run_time_figure",
-    "render_response_figure",
-    "render_average_response_figure",
-]
+Import from the defining submodule (:mod:`repro.experiments.usecase1`,
+:mod:`~repro.experiments.usecase2`, :mod:`~repro.experiments.tables`); the
+package re-exports nothing.
+"""

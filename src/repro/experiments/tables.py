@@ -7,10 +7,12 @@ the benchmark output can be compared against the paper's bar charts directly.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.experiments.usecase1 import WorkloadComparison
 from repro.workload.configs import table1_rows
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.experiments.usecase1 import WorkloadComparison
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -1,19 +1,8 @@
-"""Metrics: system-level timings, hardware-counter proxies, tracing, Paraver views."""
+"""Metrics: system-level timings, hardware-counter proxies, tracing, Paraver views.
 
-from repro.metrics.collect import JobMetrics, WorkloadMetrics, relative_improvement
-from repro.metrics.counters import CounterLog, CounterSample
-from repro.metrics.paraver import ParaverView, TimelineRow
-from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
-
-__all__ = [
-    "JobMetrics",
-    "WorkloadMetrics",
-    "relative_improvement",
-    "CounterLog",
-    "CounterSample",
-    "Tracer",
-    "StepRecord",
-    "MaskChangeRecord",
-    "ParaverView",
-    "TimelineRow",
-]
+Import from the defining submodule — :mod:`repro.metrics.collect`,
+:mod:`~repro.metrics.counters`, :mod:`~repro.metrics.tracing` or
+:mod:`~repro.metrics.paraver`.  The package re-exports nothing, so the
+simulation path (which needs only ``collect`` and ``tracing``) never loads
+numpy, which only the counter histograms and Paraver views use.
+"""

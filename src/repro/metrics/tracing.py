@@ -10,10 +10,12 @@ it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from repro.metrics.counters import CounterLog, CounterSample
 from repro.sim.events import EventLog
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.metrics.counters import CounterLog
 
 
 class StepRecord(NamedTuple):
@@ -201,6 +203,8 @@ class Tracer:
 
     def counter_log(self) -> CounterLog:
         """Expand step records into per-thread counter samples (Figures 13/14)."""
+        from repro.metrics.counters import CounterLog, CounterSample
+
         log = CounterLog()
         for step in self._ordered():
             for thread, util in enumerate(step.thread_utilisation):

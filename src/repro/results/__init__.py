@@ -21,56 +21,8 @@ package makes it *persistent and reusable*:
 The *trace* tier — full per-run tracers, content-addressed by the same key —
 lives in :mod:`repro.traces`; ``python -m repro.results merge --traces``
 ships both tiers of a sharded campaign in one command.
+
+Import from the defining submodule (``repro.results.store``,
+``repro.results.sinks``, ``repro.results.query``); the package re-exports
+nothing, so a worker that only persists rows loads no reporting code.
 """
-
-from repro.results.query import (
-    StoreDiff,
-    diff_stores,
-    render_diff,
-    render_entry,
-    render_store_table,
-)
-from repro.results.sinks import (
-    JsonlTraceSink,
-    ParaverTraceSink,
-    TraceSink,
-    pcf_text,
-    prv_text,
-    read_jsonl_trace,
-    row_text,
-    read_prv,
-    run_stem,
-)
-from repro.results.store import (
-    DEFAULT_STORE_ROOT,
-    STORE_FORMAT_VERSION,
-    ResultStore,
-    StoreEntry,
-    content_key,
-    spec_contents,
-    spec_from_contents,
-)
-
-__all__ = [
-    "ResultStore",
-    "StoreEntry",
-    "DEFAULT_STORE_ROOT",
-    "STORE_FORMAT_VERSION",
-    "content_key",
-    "spec_contents",
-    "spec_from_contents",
-    "TraceSink",
-    "ParaverTraceSink",
-    "JsonlTraceSink",
-    "prv_text",
-    "pcf_text",
-    "row_text",
-    "read_prv",
-    "read_jsonl_trace",
-    "run_stem",
-    "StoreDiff",
-    "diff_stores",
-    "render_diff",
-    "render_entry",
-    "render_store_table",
-]

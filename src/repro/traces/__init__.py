@@ -8,7 +8,7 @@ Figures 3, 5, 13, 14):
 * :mod:`repro.traces.store` — :class:`~repro.traces.store.TraceStore`, a
   second content-addressed store keyed by the **same**
   :func:`~repro.results.store.content_key` as the metrics tier; each cell
-  is one gzip-compressed JSONL artifact holding the run's full
+  is one gzip-compressed artifact holding the run's full
   :class:`~repro.metrics.tracing.Tracer`.
 * :mod:`repro.traces.query` — the lazy
   :class:`~repro.traces.query.TraceReader` query engine (job timelines,
@@ -22,28 +22,8 @@ Figures 3, 5, 13, 14):
 Capture is threaded through the stack: ``run_campaign(...,
 trace_store=...)`` and ``run_scenario_pair(..., trace_store=...)`` record
 traces on cache misses and skip execution when both tiers hit.
+
+Import from the defining submodule (``repro.traces.store`` or
+``repro.traces.query``); the package re-exports nothing, so writing a trace
+never loads the numpy-backed query engine.
 """
-
-from repro.traces.query import (
-    ReplayedMetrics,
-    ScenarioReplay,
-    TraceReader,
-    replay_scenario,
-)
-from repro.traces.store import (
-    DEFAULT_TRACE_ROOT,
-    TRACE_FORMAT_VERSION,
-    TraceEntry,
-    TraceStore,
-)
-
-__all__ = [
-    "TraceStore",
-    "TraceEntry",
-    "DEFAULT_TRACE_ROOT",
-    "TRACE_FORMAT_VERSION",
-    "TraceReader",
-    "ReplayedMetrics",
-    "ScenarioReplay",
-    "replay_scenario",
-]

@@ -15,11 +15,10 @@ import pytest
 
 from repro.campaign import ClusterRef, RunSpec, SyntheticWorkloadRef, execute_run
 from repro.campaign.runner import summarise_run
-from repro.results import ResultStore, content_key
 from repro.results.__main__ import main as results_cli
-from repro.traces import TraceStore
+from repro.results.store import ResultStore, content_key
 from repro.traces.__main__ import main as traces_cli
-from repro.traces.store import TRACE_FORMAT_VERSION, _gzip_member
+from repro.traces.store import TRACE_FORMAT_VERSION, TraceStore, _gzip_member
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM
 

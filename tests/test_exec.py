@@ -7,8 +7,14 @@ import asyncio
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.campaign import (
     CampaignSpec,
@@ -36,6 +42,7 @@ from repro.exec import (
     worker_pool,
 )
 from repro.exec.local import pool_worker
+from repro.exec.ssh import _Channel
 from repro.exec.worker import main as worker_cli
 from repro.exec.worker import serve_stream
 from repro.obs.progress import ProgressLine
@@ -461,17 +468,20 @@ RUN_PATHS = {
 }
 
 
-def _run_path(name, root):
-    rows = RUN_PATHS[name](
-        small_sweep(1), ResultStore(root / "metrics"), TraceStore(root / "traces")
-    )
-    files = {
+def _tier_files(root):
+    return {
         path.relative_to(root).as_posix(): path.read_bytes()
         for tier in ("metrics", "traces")
         for path in sorted((root / tier).rglob("*"))
         if path.is_file()
     }
-    return rows, files
+
+
+def _run_path(name, root):
+    rows = RUN_PATHS[name](
+        small_sweep(1), ResultStore(root / "metrics"), TraceStore(root / "traces")
+    )
+    return rows, _tier_files(root)
 
 
 @pytest.fixture(scope="module")
@@ -486,6 +496,84 @@ def test_every_run_path_writes_the_same_bytes(name, tmp_path, serial_cell_bytes)
     assert len(rows) == 2 and rows == reference_rows
     # One entry per cell in each tier, byte for byte.
     assert len(files) == 4 and files == reference_files
+
+
+def _python_m(module, args, cwd, stdin="", numpy=True):
+    """``python -m module args`` in a child; ``numpy=False`` makes its
+    ``import numpy`` raise, as on a worker host without numpy."""
+    code = (
+        "import runpy, sys\n"
+        + ("" if numpy else "sys.modules['numpy'] = None\n")
+        + f"runpy.run_module({module!r}, run_name='__main__', alter_sys=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd, input=stdin, capture_output=True, text=True, env=env,
+    )
+
+
+class TestWithoutNumpy:
+    """Only the analysis modules need numpy: the cell path and a cold CLI
+    campaign must run, byte for byte, on an interpreter that lacks it."""
+
+    def test_stream_worker(self, tmp_path, serial_cell_bytes):
+        runs = small_sweep(1).expand()
+        config = {
+            "op": "config",
+            "store": str(tmp_path / "metrics"),
+            "trace_store": str(tmp_path / "traces"),
+        }
+        requests = [config] + [
+            {"op": "run", "index": r.index, "run": spec_contents(r)} for r in runs
+        ]
+        done = _python_m(
+            "repro.exec.worker", [], tmp_path,
+            stdin="".join(json.dumps(r) + "\n" for r in requests), numpy=False,
+        )
+        assert done.returncode == 0, done.stderr
+        responses = [json.loads(line) for line in done.stdout.splitlines()]
+        rows = tuple(
+            metrics_from_payload(run, resp["row"])
+            for run, resp in zip(runs, responses[1:])
+        )
+        reference_rows, reference_files = serial_cell_bytes
+        assert rows == reference_rows
+        assert _tier_files(tmp_path) == reference_files
+
+    def test_batch_worker(self, tmp_path, serial_cell_bytes):
+        runs = small_sweep(1).expand()
+        cells = tmp_path / "cells.jsonl"
+        cells.write_text(
+            "".join(
+                json.dumps({"index": r.index, "run": spec_contents(r)}) + "\n"
+                for r in runs
+            )
+        )
+        for position in range(len(runs)):
+            done = _python_m(
+                "repro.exec.worker",
+                ["--cells", str(cells), "--index", str(position),
+                 "--store", str(tmp_path / "metrics"),
+                 "--trace-store", str(tmp_path / "traces")],
+                tmp_path, numpy=False,
+            )
+            assert done.returncode == 0, done.stderr
+        store = ResultStore(tmp_path / "metrics")
+        reference_rows, reference_files = serial_cell_bytes
+        assert tuple(store.get(run) for run in runs) == reference_rows
+        assert _tier_files(tmp_path) == reference_files
+
+    def test_cold_cli_campaign(self, tmp_path):
+        args = ["--workloads", "2", "--store", "S", "--trace-store", "T"]
+        outputs = []
+        for numpy in (True, False):
+            cwd = tmp_path / f"numpy-{numpy}"
+            cwd.mkdir()
+            done = _python_m("repro.campaign", args, cwd, numpy=numpy)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestWorkerProtocol:
@@ -607,6 +695,42 @@ class TestSSHExecutor:
         assert argv[0] == "ssh" and "node7" in argv
         assert "repro.exec.worker" in argv[-1]
         assert "/opt/repro" in argv[-1]
+
+    def test_failed_start_kills_the_workers_it_spawned(self):
+        executor = SSHExecutor(slots=3)
+        real_spawn = executor._spawn
+        processes = []
+
+        async def spawn(tag):
+            if tag.endswith("#1"):
+                raise ExecutorError(f"{tag}: config handshake failed: stub")
+            channel = await real_spawn(tag)
+            processes.append(channel.process)
+            return channel
+
+        executor._spawn = spawn
+        with pytest.raises(ExecutorError, match="#1"):
+            asyncio.run(executor.start(WorkerContext()))
+        assert len(processes) == 2
+        assert all(process.returncode is not None for process in processes)
+        assert executor._alive == 0
+
+    def test_slots_spawn_concurrently(self):
+        executor = SSHExecutor(slots=3)
+        in_flight = peak = 0
+
+        async def spawn(tag):
+            nonlocal in_flight, peak
+            in_flight += 1
+            peak = max(peak, in_flight)
+            await asyncio.sleep(0)
+            in_flight -= 1
+            return _Channel(process=None, tag=tag)
+
+        executor._spawn = spawn
+        asyncio.run(executor.start(WorkerContext()))
+        assert peak == 3
+        assert executor._channels.qsize() == 3 and executor._alive == 3
 
     def test_sinks_are_rejected(self):
         class _Sink:

@@ -13,16 +13,15 @@ from repro.campaign import (
     run_campaign,
     run_scenario_pair,
 )
-from repro.results import (
+from repro.results.sinks import (
+    EV_THREAD_COUNT,
     JsonlTraceSink,
     ParaverTraceSink,
-    ResultStore,
-    content_key,
     read_jsonl_trace,
     read_prv,
     run_stem,
 )
-from repro.results.sinks import EV_THREAD_COUNT
+from repro.results.store import ResultStore, content_key
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL
 

@@ -18,7 +18,7 @@ from repro.campaign import (
     SyntheticWorkloadRef,
     run_campaign,
 )
-from repro.results import ResultStore, content_key, spec_contents, spec_from_contents
+from repro.results.store import ResultStore, content_key, spec_contents, spec_from_contents
 from repro.results.__main__ import main as results_cli
 from repro.workload.generator import SizeMixEntry, WorkloadSpec, heavy_tailed_size_mix
 from repro.workload.runner import DROM, SERIAL

@@ -24,11 +24,11 @@ from repro.campaign import (
     execute_run,
     run_campaign,
 )
-from repro.results import ResultStore, content_key
 from repro.results.__main__ import main as results_cli
+from repro.results.store import ResultStore, content_key
 from repro.store import INDEX_SUFFIX, StoreIndex
-from repro.traces import TraceStore
 from repro.traces.__main__ import main as traces_cli
+from repro.traces.store import TraceStore
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM
 
@@ -356,7 +356,7 @@ class TestTraceStoreIntegration:
         ] == expected
 
     def test_reader_windowed_queries_lazy_then_full(self, traced_run, tmp_path):
-        from repro.traces import TraceReader
+        from repro.traces.query import TraceReader
 
         run, result = traced_run
         store = TraceStore(tmp_path / "traces", segment_steps=8)

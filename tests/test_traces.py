@@ -31,16 +31,18 @@ from repro.campaign import (
 from repro.experiments.usecase1 import imbalance_trace, scenario_timelines
 from repro.experiments.usecase2 import run_usecase2
 from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
-from repro.results import ParaverTraceSink, ResultStore, content_key, prv_text, read_prv
-from repro.results.sinks import EV_STEP_IPC_MILLI
-from repro.traces import (
-    TRACE_FORMAT_VERSION,
-    ScenarioReplay,
-    TraceReader,
-    TraceStore,
-)
+from repro.results.sinks import EV_STEP_IPC_MILLI, ParaverTraceSink, prv_text, read_prv
+from repro.results.store import ResultStore, content_key
 from repro.traces.__main__ import main as traces_main
-from repro.traces.store import _SEGMENT_PREFIX, _gzip_member, decode_steps, encode_steps
+from repro.traces.query import ScenarioReplay, TraceReader
+from repro.traces.store import (
+    _SEGMENT_PREFIX,
+    TRACE_FORMAT_VERSION,
+    TraceStore,
+    _gzip_member,
+    decode_steps,
+    encode_steps,
+)
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL
 
@@ -361,7 +363,7 @@ class TestScenarioReplay:
     def test_sinks_are_fed_on_replays(self, tmp_path):
         # Regression: replays carry a full tracer, so a warm pair must still
         # export through its sinks (the pre-tier behaviour), byte-identically.
-        from repro.results import JsonlTraceSink
+        from repro.results.sinks import JsonlTraceSink
 
         ref = SyntheticWorkloadRef(spec=SMALL, seed=0)
         store = ResultStore(tmp_path / "m")
