@@ -343,6 +343,15 @@ def main(argv: list[str] | None = None) -> int:
     executor_tokens = args.executor or []
     slurm_tokens = [t for t in executor_tokens if t.partition(":")[0] == "slurm"]
     try:
+        # Written as ``not x > 0`` so a NaN is rejected too.
+        if not args.workers > 0:
+            raise ValueError(f"--workers must be positive, got {args.workers}")
+        if args.cell_timeout is not None and not args.cell_timeout > 0:
+            raise ValueError(f"--cell-timeout must be positive, got {args.cell_timeout:g}")
+        if not args.retries >= 0:
+            raise ValueError(f"--retries must be >= 0, got {args.retries}")
+        if not args.backoff >= 0:
+            raise ValueError(f"--backoff must be >= 0, got {args.backoff:g}")
         if slurm_tokens and len(executor_tokens) > 1:
             raise ValueError(
                 "slurm:DIR is a batch submission and cannot be mixed with "
@@ -375,9 +384,9 @@ def main(argv: list[str] | None = None) -> int:
         if slurm_tokens:
             return _slurm_main(args, spec, slurm_tokens[0].partition(":")[2])
     except ValueError as exc:
-        # Bad registry names (--policies, --node-policies, --scenarios) and
-        # bad executor specs read like any other usage error instead of a
-        # traceback.
+        # Bad numeric flags, registry names (--policies, --node-policies,
+        # --scenarios) and executor specs read like any other usage error
+        # instead of a traceback.
         parser.error(str(exc))
     if args.resume is None:
         backend = (

@@ -442,13 +442,6 @@ def run_campaign(
         f", manifest={journal.path}" if journal is not None else "",
     )
 
-    # The warm scan needs every cell's content key; compute each exactly
-    # once (they also key the manifest journal and the store writes).
-    keys: dict[int, str] = {}
-    if store is not None or trace_store is not None or journal is not None:
-        from repro.results.store import content_key
-
-        keys = {run.index: content_key(run) for run in runs}
     if journal is not None:
         from repro.exec.manifest import DONE, FAILED
 
@@ -459,30 +452,24 @@ def run_campaign(
     # validated by the per-entry read below.  Index stats are snapshotted
     # as deltas around these parent-process scans only, so serial and
     # pooled campaigns count identically.
-    def _index_stats(tier) -> dict:
-        return dict(tier.index.stats) if tier is not None and tier.root.is_dir() else {}
+    index_counts: dict[str, int] = {}
 
-    store_stats0 = _index_stats(store)
-    trace_stats0 = _index_stats(trace_store)
-    store_keys = store.scan() if store is not None else frozenset()
-    trace_keys = trace_store.scan() if trace_store is not None else frozenset()
-    index_counts = {}
-    for tier, before, label in (
-        (store, store_stats0, "store"),
-        (trace_store, trace_stats0, "trace"),
-    ):
-        after = _index_stats(tier)
-        # A "hit" is any scan the journal served (fresh or stat-diff
-        # reconciled); only a missing/invalid journal counts as a rebuild.
-        index_counts[f"{label}_index_hits"] = (
-            after.get("hits", 0)
-            + after.get("reconciles", 0)
-            - before.get("hits", 0)
-            - before.get("reconciles", 0)
-        )
-        index_counts[f"{label}_index_rebuilds"] = (
-            after.get("rebuilds", 0) - before.get("rebuilds", 0)
-        )
+    def scan(tier, label: str) -> frozenset[str]:
+        keys, hits, rebuilds = frozenset(), 0, 0
+        if tier is not None and tier.root.is_dir():
+            before = dict(tier.index.stats)
+            keys = tier.scan()
+            after = tier.index.stats
+            # A "hit" is any scan the journal served (fresh or stat-diff
+            # reconciled); only a missing/invalid journal counts as a rebuild.
+            hits = sum(after[k] - before[k] for k in ("hits", "reconciles"))
+            rebuilds = after["rebuilds"] - before["rebuilds"]
+        index_counts[f"{label}_index_hits"] = hits
+        index_counts[f"{label}_index_rebuilds"] = rebuilds
+        return keys
+
+    store_keys = scan(store, "store")
+    trace_keys = scan(trace_store, "trace")
 
     rows_by_index: dict[int, RunMetrics] = {}
     spans_by_index: dict[int, Span] = {}
@@ -493,16 +480,15 @@ def run_campaign(
         misses = []
         metrics_hits = trace_hits = backfilled = 0
         for run in runs:
-            key = keys.get(run.index)
             cached = (
-                store.get(run, key)
-                if store is not None and key in store_keys
+                store.get(run)
+                if store is not None and run.key in store_keys
                 else None
             )
             trace_hit = (
                 trace_store is not None
-                and key in trace_keys
-                and trace_store.get(run, key) is not None
+                and run.key in trace_keys
+                and trace_store.get(run) is not None
             )
             metrics_hits += cached is not None
             trace_hits += trace_hit
@@ -510,7 +496,7 @@ def run_campaign(
             if cached is not None and (trace_store is None or trace_hit):
                 rows_by_index[run.index] = cached
                 if journal is not None:
-                    journal.record(key, DONE, index=run.index, cached=True)
+                    journal.record(run.key, DONE, index=run.index, cached=True)
                 if obs.enabled:
                     span = obs.record(
                         "cell", index=run.index, run_id=run.run_id, cached=True
@@ -539,7 +525,7 @@ def run_campaign(
                 _log.debug("cell %04d: simulated", row.run.index)
                 if journal is not None and journal_as is not None:
                     journal.record(
-                        keys[row.run.index],
+                        row.run.key,
                         DONE,
                         index=row.run.index,
                         executor=journal_as,
@@ -556,7 +542,7 @@ def run_campaign(
                 def on_done(run, row, executor_name) -> None:
                     if journal is not None:
                         journal.record(
-                            keys[run.index],
+                            run.key,
                             DONE,
                             index=run.index,
                             executor=executor_name,
@@ -567,7 +553,7 @@ def run_campaign(
                 def on_failed(run, reason, executor_name) -> None:
                     if journal is not None:
                         journal.record(
-                            keys[run.index],
+                            run.key,
                             FAILED,
                             index=run.index,
                             executor=executor_name,

@@ -15,7 +15,10 @@ whichever process executes the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from typing import Union
 
 from repro.cpuset.distribution import (
@@ -27,7 +30,12 @@ from repro.cpuset.distribution import (
 )
 from repro.cpuset.topology import ClusterTopology
 from repro.slurm.policies import NODE_POLICY_FACTORIES
-from repro.workload.generator import WorkloadSpec, generate_workload
+from repro.workload.generator import (
+    AppMixEntry,
+    SizeMixEntry,
+    WorkloadSpec,
+    generate_workload,
+)
 from repro.workload.runner import DROM, SERIAL
 from repro.workload.workloads import (
     Workload,
@@ -44,8 +52,17 @@ POLICY_REGISTRY: dict[str, type[DistributionPolicy]] = {
 }
 
 
+class _Ref:
+    """A frozen reference whose ``asdict`` form is computed once per object:
+    the run specs of a grid share a few references, so each is walked once."""
+
+    @cached_property
+    def _asdict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass(frozen=True)
-class ClusterRef:
+class ClusterRef(_Ref):
     """Reference to a cluster topology, buildable in any process.
 
     ``kind="mn3"`` builds ``nnodes`` MareNostrum III nodes (the paper's
@@ -95,7 +112,7 @@ class PolicyRef:
 
 
 @dataclass(frozen=True)
-class SyntheticWorkloadRef:
+class SyntheticWorkloadRef(_Ref):
     """A workload drawn from the synthetic generator with a fixed seed."""
 
     spec: WorkloadSpec = field(default_factory=WorkloadSpec)
@@ -110,7 +127,7 @@ class SyntheticWorkloadRef:
 
 
 @dataclass(frozen=True)
-class InSituWorkloadRef:
+class InSituWorkloadRef(_Ref):
     """The paper's use-case-1 workload family (simulator + analytics).
 
     ``simulator_kwargs`` (a tuple of key/value pairs, to stay hashable and
@@ -154,7 +171,7 @@ class InSituWorkloadRef:
 
 
 @dataclass(frozen=True)
-class HighPriorityWorkloadRef:
+class HighPriorityWorkloadRef(_Ref):
     """The paper's use-case-2 workload (NEST + high-priority CoreNeuron)."""
 
     second_submit: float = 120.0
@@ -178,7 +195,7 @@ NODE_POLICY_NAMES = tuple(sorted(NODE_POLICY_FACTORIES))
 
 
 @dataclass(frozen=True)
-class SchedulerRef:
+class SchedulerRef(_Ref):
     """Controller options of one run: backfill × node-selection policy.
 
     Exposes :class:`~repro.slurm.slurmctld.Slurmctld`'s existing knobs as a
@@ -254,6 +271,89 @@ class RunSpec:
         *cell* (what the content-addressed store tiers persist), shared by
         every campaign that reaches the same simulation."""
         return self.run_id.split("|", 1)[1]
+
+    @cached_property
+    def contents(self) -> dict:
+        """The spec's canonical contents (:func:`spec_contents`), computed
+        once per spec and shared with its readers and references: never mutate."""
+        return spec_contents(self)
+
+    @cached_property
+    def key(self) -> str:
+        """The spec's content key (:func:`content_key`), computed once per
+        spec: the cell's address in both store tiers, manifests and workers."""
+        return content_key(self)
+
+
+# -- canonical spec (de)serialisation ------------------------------------------------
+
+
+def _decode(cls, payload: dict, **convert):
+    """``cls`` rebuilt from its stored fields, each passed through its
+    ``convert`` function if it has one.  A missing or unknown field raises
+    ``KeyError``: defaulting or dropping it would bind a stored row to a spec
+    whose key differs from the one it was stored under."""
+    names = {f.name for f in fields(cls)}
+    if payload.keys() != names:
+        raise KeyError(f"{cls.__name__} fields differ: {sorted(payload.keys() ^ names)}")
+    values = dict(payload)
+    values.update((name, decode(values[name])) for name, decode in convert.items())
+    return cls(**values)
+
+
+#: Workload reference type name -> (class, decoders of the fields that JSON
+#: returns as lists or dicts).
+_WORKLOAD_TYPES = {
+    "SyntheticWorkloadRef": (SyntheticWorkloadRef, {"spec": lambda spec: _decode(
+        WorkloadSpec, spec, priority_levels=tuple,
+        app_mix=lambda mix: tuple(_decode(AppMixEntry, e) for e in mix),
+        size_mix=lambda mix: tuple(_decode(SizeMixEntry, e) for e in mix),
+    )}),
+    "InSituWorkloadRef": (
+        InSituWorkloadRef, {"simulator_kwargs": lambda kw: tuple((k, v) for k, v in kw)}
+    ),
+    "HighPriorityWorkloadRef": (HighPriorityWorkloadRef, {}),
+}
+
+
+def spec_contents(run: RunSpec) -> dict:
+    """The canonical, JSON-able contents of a run spec — everything that
+    determines what the run computes, and nothing that doesn't (``index``).
+    Read it through :attr:`RunSpec.contents`, which computes it once."""
+    return {
+        "scenario": run.scenario,
+        "workload": {**run.workload._asdict, "type": type(run.workload).__name__},
+        "cluster": run.cluster._asdict,
+        "policy": run.policy.name if run.policy is not None else None,
+        "scheduler": run.scheduler._asdict,
+        "interference_factor": run.interference_factor,
+    }
+
+
+def spec_from_contents(contents: dict, index: int = 0) -> RunSpec:
+    """Rebuild a run spec from its stored contents (inverse of
+    :func:`spec_contents` up to the grid ``index``)."""
+    workload, policy = dict(contents["workload"]), contents["policy"]
+    kind = workload.pop("type")
+    if kind not in _WORKLOAD_TYPES:
+        raise ValueError(f"unknown workload reference type {kind!r}")
+    workload_cls, convert = _WORKLOAD_TYPES[kind]
+    return RunSpec(
+        index=index,
+        scenario=contents["scenario"],
+        workload=_decode(workload_cls, workload, **convert),
+        cluster=_decode(ClusterRef, contents["cluster"]),
+        policy=PolicyRef(policy) if policy is not None else None,
+        interference_factor=contents["interference_factor"],
+        scheduler=_decode(SchedulerRef, contents["scheduler"]),
+    )
+
+
+def content_key(run: RunSpec) -> str:
+    """Stable content hash of a run spec (hex SHA-256 of its canonical
+    JSON).  Read it through :attr:`RunSpec.key`, which computes it once."""
+    payload = json.dumps(run.contents, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

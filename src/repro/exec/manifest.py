@@ -79,19 +79,16 @@ class ManifestState:
         :func:`~repro.campaign.runner.run_campaign` (which reads only this
         and :attr:`name`).  Raises ``ValueError`` when the manifest is
         missing or records no cells."""
-        from repro.results.store import spec_from_contents
+        from repro.campaign.spec import spec_from_contents
 
         if not self.cells:
             raise ValueError("the manifest records no cells")
         payloads = sorted(self.cells.values(), key=lambda c: c["index"])
         return [spec_from_contents(c["run"], index=c["index"]) for c in payloads]
 
-    def keys_in_state(self, state: str) -> set[str]:
-        return {key for key, s in self.states.items() if s == state}
-
     @property
     def done(self) -> set[str]:
-        return self.keys_in_state(DONE)
+        return {key for key, s in self.states.items() if s == DONE}
 
     @property
     def unfinished(self) -> set[str]:
@@ -122,8 +119,6 @@ class CampaignManifest:
         per cell **not already recorded** — restarting appends a fresh
         header but never duplicates cell identities or regresses a ``done``
         cell back to ``pending``."""
-        from repro.results.store import content_key, spec_contents
-
         known = self.replay().cells if self.path.exists() else {}
         runs = list(runs)
         self._append(
@@ -136,17 +131,16 @@ class CampaignManifest:
         )
         fresh = 0
         for run in runs:
-            key = content_key(run)
-            if key in known:
+            if run.key in known:
                 continue
             fresh += 1
             self._append(
                 {
                     "record": "cell",
                     "state": PENDING,
-                    "key": key,
+                    "key": run.key,
                     "index": run.index,
-                    "run": spec_contents(run),
+                    "run": run.contents,
                 }
             )
         _log.info(

@@ -377,6 +377,8 @@ def orchestrate(
     e.g. the telemetry's fresh clock) enables the per-executor
     ``(time, queue_depth, in_flight)`` series on the returned stats.
     """
+    if timeout is not None and not timeout > 0:
+        raise ValueError("timeout must be > 0")
     if retries < 0:
         raise ValueError("retries must be >= 0")
     if backoff < 0:

@@ -37,6 +37,7 @@ content keys are missing from the store.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shlex
@@ -162,10 +163,6 @@ class SlurmArrayExecutor:
 
     def prepare(self, name: str, runs: Iterable["RunSpec"]) -> SlurmSubmission:
         """Write the submission directory for ``runs``; deterministic bytes."""
-        from repro.results.store import content_key, spec_contents
-
-        import json
-
         runs = list(runs)
         if not runs:
             raise ValueError("cannot prepare a Slurm submission with no cells")
@@ -177,8 +174,8 @@ class SlurmArrayExecutor:
                     json.dumps(
                         {
                             "index": run.index,
-                            "key": content_key(run),
-                            "run": spec_contents(run),
+                            "key": run.key,
+                            "run": run.contents,
                         },
                         sort_keys=True,
                     )

@@ -214,7 +214,7 @@ class SSHExecutor(Executor):
     async def run_cell(self, run: "RunSpec") -> "tuple[RunMetrics, Span | None]":
         if self._channels is None or self._alive <= 0:
             raise ExecutorDied(f"{self.name} has no live worker channels")
-        from repro.results.store import metrics_from_payload, spec_contents
+        from repro.results.store import metrics_from_payload
 
         channel = await self._channels.get()
         try:
@@ -222,7 +222,7 @@ class SSHExecutor(Executor):
                 {
                     "op": "run",
                     "index": run.index,
-                    "run": spec_contents(run),
+                    "run": run.contents,
                 },
                 timeout=None,  # the orchestrator owns the per-cell timeout
             )

@@ -62,7 +62,7 @@ def _context(store_root, trace_root) -> WorkerContext:
 def _execute_cell(payload: dict, index: int, context: WorkerContext):
     """Run one cell from its canonical spec contents; returns ``(run, row)``."""
     from repro.campaign.runner import run_cell
-    from repro.results.store import spec_from_contents
+    from repro.campaign.spec import spec_from_contents
 
     run = spec_from_contents(payload, index=index)
     return run, run_cell(run, context)[0]
@@ -70,7 +70,7 @@ def _execute_cell(payload: dict, index: int, context: WorkerContext):
 
 def serve_stream(stdin: TextIO, stdout: TextIO) -> int:
     """The stream-mode request loop (stdin/stdout injectable for tests)."""
-    from repro.results.store import content_key, metrics_to_payload
+    from repro.results.store import metrics_to_payload
 
     context = WorkerContext()
 
@@ -112,7 +112,7 @@ def serve_stream(stdin: TextIO, stdout: TextIO) -> int:
                     {
                         "ok": True,
                         "index": index,
-                        "key": content_key(run),
+                        "key": run.key,
                         "row": metrics_to_payload(row),
                     }
                 )
@@ -128,7 +128,6 @@ def serve_stream(stdin: TextIO, stdout: TextIO) -> int:
 def run_batch_cell(args: argparse.Namespace) -> int:
     """Batch mode: execute one line of a cells file (a Slurm array task)."""
     from repro.exec.manifest import DONE, FAILED, CampaignManifest
-    from repro.results.store import content_key
 
     with open(args.cells, encoding="utf-8") as stream:
         cells = [json.loads(line) for line in stream if line.strip()]
@@ -144,16 +143,12 @@ def run_batch_cell(args: argparse.Namespace) -> int:
     context = _context(args.store, args.trace_store)
     manifest = CampaignManifest(args.manifest) if args.manifest else None
     index = int(cell.get("index", position))
-    key = None
     try:
         run, row = _execute_cell(cell["run"], index, context)
-        key = content_key(run)
     except Exception as exc:
-        if manifest is not None and key is None:
-            key = cell.get("key", f"cell-{position}")
         if manifest is not None:
             manifest.record(
-                key,
+                cell.get("key", f"cell-{position}"),
                 FAILED,
                 index=index,
                 executor=f"slurm[{position}]",
@@ -162,10 +157,10 @@ def run_batch_cell(args: argparse.Namespace) -> int:
         print(f"cell {index:04d} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if manifest is not None:
-        manifest.record(key, DONE, index=index, executor=f"slurm[{position}]")
+        manifest.record(run.key, DONE, index=index, executor=f"slurm[{position}]")
     print(
         json.dumps(
-            {"ok": True, "index": index, "key": key, "run_id": run.run_id},
+            {"ok": True, "index": index, "key": run.key, "run_id": run.run_id},
             sort_keys=True,
         )
     )

@@ -120,18 +120,6 @@ def compare_workloads(
     return comparisons
 
 
-def compare_workload(
-    simulator: str,
-    simulator_config: str,
-    analytics: str,
-    analytics_config: str,
-    store=None,
-) -> WorkloadComparison:
-    """Run the Serial and DROM scenarios of one simulator+analytics workload."""
-    ref = InSituWorkloadRef(simulator, simulator_config, analytics, analytics_config)
-    return compare_workloads([ref], store=store)[0]
-
-
 # -- Figures 4/9 (total run time, simulator + Pils) --------------------------------------
 
 

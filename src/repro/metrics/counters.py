@@ -9,7 +9,8 @@ The paper traces the use cases with Extrae and reports, per thread,
 
 Here the counters are synthesised from the performance model at every
 execution step and collected per (job, rank, thread); Figure 14's per-thread
-IPC histograms and Figure 13's cycles/µs timelines are derived from this log.
+IPC histograms are derived from this log (Figure 13's cycles/µs timeline
+renders through :class:`~repro.metrics.paraver.ParaverView`).
 """
 
 from __future__ import annotations
@@ -97,42 +98,3 @@ class CounterLog:
         if total_time == 0:
             return float(np.mean([s.ipc for s in samples]))
         return sum(s.ipc * s.duration for s in samples) / total_time
-
-    def most_frequent_ipc(self, job: str, bins: int = 40) -> float:
-        """Centre of the most populated IPC bin ("the blue dots" of Figure 14)."""
-        samples = [s.ipc for s in self.for_job(job)]
-        if not samples:
-            raise ValueError(f"no counter samples for job {job!r}")
-        counts, edges = np.histogram(np.asarray(samples), bins=bins)
-        idx = int(np.argmax(counts))
-        return float((edges[idx] + edges[idx + 1]) / 2.0)
-
-    # -- Figure 13: cycles per microsecond timeline ------------------------------------
-
-    def cycles_timeline(
-        self, job: str, bin_seconds: float = 50.0
-    ) -> dict[tuple[int, int], np.ndarray]:
-        """(rank, thread) -> time-binned average cycles/µs (0 where idle)."""
-        samples = self.for_job(job)
-        if not samples:
-            return {}
-        horizon = max(s.end for s in samples)
-        nbins = int(np.ceil(horizon / bin_seconds)) + 1
-        acc: dict[tuple[int, int], np.ndarray] = defaultdict(lambda: np.zeros(nbins))
-        weight: dict[tuple[int, int], np.ndarray] = defaultdict(lambda: np.zeros(nbins))
-        for s in samples:
-            key = (s.rank, s.thread)
-            first = int(s.start // bin_seconds)
-            last = int(s.end // bin_seconds)
-            for b in range(first, last + 1):
-                lo = max(s.start, b * bin_seconds)
-                hi = min(s.end, (b + 1) * bin_seconds)
-                if hi <= lo:
-                    continue
-                acc[key][b] += s.cycles_per_us * (hi - lo)
-                weight[key][b] += hi - lo
-        result: dict[tuple[int, int], np.ndarray] = {}
-        for key in acc:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                result[key] = np.where(weight[key] > 0, acc[key] / np.maximum(weight[key], 1e-12), 0.0)
-        return result

@@ -44,7 +44,6 @@ from typing import Iterable, Protocol, runtime_checkable
 from repro.campaign.spec import RunSpec
 from repro.metrics.paraver import ParaverView
 from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
-from repro.results.store import content_key
 from repro.workload.runner import ScenarioResult
 
 #: Event types of the ``.prv``-style export (the 9 200 000 range is unused by
@@ -75,7 +74,7 @@ def run_stem(run: RunSpec) -> str:
     content-addressing contract.  The scenario prefix is redundant with the
     key but keeps directories human-scannable.
     """
-    return f"{run.scenario}-{content_key(run)[:12]}"
+    return f"{run.scenario}-{run.key[:12]}"
 
 
 def _us(t: float) -> int:
@@ -287,7 +286,7 @@ class JsonlTraceSink:
         # name — the same cell reached from two campaigns overwrites one file.
         header = {
             "record": "run",
-            "key": content_key(run),
+            "key": run.key,
             "run_id": run.cell_id,
             "index": run.index,
             "scenario": run.scenario,

@@ -21,26 +21,18 @@ one.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.campaign.runner import RunMetrics
-from repro.campaign.spec import (
-    ClusterRef,
-    HighPriorityWorkloadRef,
-    InSituWorkloadRef,
-    PolicyRef,
-    RunSpec,
-    SchedulerRef,
-    SyntheticWorkloadRef,
-    WorkloadRef,
-)
+from repro.campaign.spec import RunSpec, spec_from_contents
+# Re-exported: the key functions' historical home, through which the
+# per-layer timers (perfbench/layers.py) find every binding to wrap.
+from repro.campaign.spec import content_key, spec_contents  # noqa: F401
 from repro.obs.log import get_logger
 from repro.store.content import ContentStore
-from repro.workload.generator import AppMixEntry, SizeMixEntry, WorkloadSpec
 
 #: Default persistent location (gitignored; see ``.gitignore``).
 DEFAULT_STORE_ROOT = Path("benchmarks") / "results" / "store"
@@ -57,92 +49,6 @@ DEFAULT_STORE_ROOT = Path("benchmarks") / "results" / "store"
 #:   hashed without them, so treating one as a v2 hit could silently alias
 #:   two different simulations — they are invalid, never rebound.
 STORE_FORMAT_VERSION = 2
-
-
-# -- canonical spec (de)serialisation ------------------------------------------------
-
-
-def _workload_to_dict(ref: WorkloadRef) -> dict:
-    payload = asdict(ref)
-    payload["type"] = type(ref).__name__
-    return payload
-
-
-_WORKLOAD_TYPES = {
-    cls.__name__: cls
-    for cls in (SyntheticWorkloadRef, InSituWorkloadRef, HighPriorityWorkloadRef)
-}
-
-
-def _workload_from_dict(payload: dict) -> WorkloadRef:
-    kind = payload["type"]
-    if kind not in _WORKLOAD_TYPES:
-        raise ValueError(f"unknown workload reference type {kind!r}")
-    if kind == "SyntheticWorkloadRef":
-        spec = payload["spec"]
-        return SyntheticWorkloadRef(
-            spec=WorkloadSpec(
-                njobs=spec["njobs"],
-                arrival=spec["arrival"],
-                mean_interarrival=spec["mean_interarrival"],
-                app_mix=tuple(AppMixEntry(**entry) for entry in spec["app_mix"]),
-                priority_levels=tuple(spec["priority_levels"]),
-                nodes=spec["nodes"],
-                work_scale=spec["work_scale"],
-                iterations=spec["iterations"],
-                name=spec["name"],
-                size_mix=tuple(SizeMixEntry(**entry) for entry in spec["size_mix"]),
-                burst_size=spec["burst_size"],
-            ),
-            seed=payload["seed"],
-        )
-    if kind == "InSituWorkloadRef":
-        return InSituWorkloadRef(
-            simulator=payload["simulator"],
-            simulator_config=payload["simulator_config"],
-            analytics=payload["analytics"],
-            analytics_config=payload["analytics_config"],
-            analytics_submit=payload["analytics_submit"],
-            simulator_kwargs=tuple(
-                (key, value) for key, value in payload["simulator_kwargs"]
-            ),
-            analytics_nodes=payload["analytics_nodes"],
-        )
-    return HighPriorityWorkloadRef(second_submit=payload["second_submit"])
-
-
-def spec_contents(run: RunSpec) -> dict:
-    """The canonical, JSON-able contents of a run spec — everything that
-    determines what the run computes, and nothing that doesn't (``index``)."""
-    return {
-        "scenario": run.scenario,
-        "workload": _workload_to_dict(run.workload),
-        "cluster": asdict(run.cluster),
-        "policy": run.policy.name if run.policy is not None else None,
-        "scheduler": asdict(run.scheduler),
-        "interference_factor": run.interference_factor,
-    }
-
-
-def spec_from_contents(contents: dict, index: int = 0) -> RunSpec:
-    """Rebuild a run spec from its stored contents (inverse of
-    :func:`spec_contents` up to the grid ``index``)."""
-    policy = contents["policy"]
-    return RunSpec(
-        index=index,
-        scenario=contents["scenario"],
-        workload=_workload_from_dict(contents["workload"]),
-        cluster=ClusterRef(**contents["cluster"]),
-        policy=PolicyRef(policy) if policy is not None else None,
-        interference_factor=contents["interference_factor"],
-        scheduler=SchedulerRef(**contents["scheduler"]),
-    )
-
-
-def content_key(run: RunSpec) -> str:
-    """Stable content hash of a run spec (hex SHA-256 of its canonical JSON)."""
-    payload = json.dumps(spec_contents(run), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # -- metrics (de)serialisation --------------------------------------------------------
@@ -263,13 +169,12 @@ class ResultStore(ContentStore):
         except (KeyError, TypeError, ValueError):
             return None
 
-    def get(self, run: RunSpec, key: str | None = None) -> RunMetrics | None:
+    def get(self, run: RunSpec) -> RunMetrics | None:
         """The stored row of ``run``'s cell, rebound to ``run``'s grid index,
         or ``None`` on a miss (including unreadable, old-format or otherwise
         malformed entries — a bad cache entry must mean "re-simulate", never
-        abort the campaign).  ``key`` is an optional precomputed
-        ``content_key(run)`` so batch scans hash each spec once."""
-        entry = self._lookup(content_key(run) if key is None else key)
+        abort the campaign)."""
+        entry = self._lookup(run.key)
         if entry is None:
             return None
         try:
@@ -281,11 +186,11 @@ class ResultStore(ContentStore):
 
     def put(self, row: RunMetrics) -> Path:
         """Persist one row under its content key (idempotent overwrite)."""
-        key = content_key(row.run)
+        key = row.run.key
         entry = StoreEntry(
             key=key,
             path=self.path_for(key),
-            contents=spec_contents(row.run),
+            contents=row.run.contents,
             metrics=metrics_to_payload(row),
         )
         payload = {

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -78,12 +78,3 @@ class EventLog:
 
     def names(self) -> set[str]:
         return {e.name for e in self._events}
-
-    def extend_from(self, other: Iterable[Event]) -> None:
-        """Merge events from another log, re-sorting by time."""
-        merged = sorted(list(self._events) + list(other))
-        self._events = [
-            Event(time=e.time, seq=i, name=e.name, payload=e.payload)
-            for i, e in enumerate(merged)
-        ]
-        self._seq = len(self._events)

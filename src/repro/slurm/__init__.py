@@ -19,7 +19,7 @@ from repro.slurm.policies import (
 from repro.slurm.queue import JobQueue
 from repro.slurm.slurmctld import NodeState, SchedulingDecision, Slurmctld
 from repro.slurm.slurmd import Slurmd, StepRecord
-from repro.slurm.slurmstepd import Slurmstepd, TaskLaunch, allocate_pid
+from repro.slurm.slurmstepd import Slurmstepd, TaskLaunch
 from repro.slurm.task_affinity import LaunchPlan, TaskAffinityPlugin, TaskPlacement
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "StepRecord",
     "Slurmstepd",
     "TaskLaunch",
-    "allocate_pid",
     "Srun",
     "JobLaunch",
     "TaskAffinityPlugin",

@@ -9,8 +9,7 @@ last job end - first job submission.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from functools import cached_property
 from typing import Any, Optional
@@ -258,19 +257,13 @@ class JobSpec:
         return self.request.placement_candidates(expand=expand)
 
 
-_job_ids = itertools.count(1)
-
-
-def _next_job_id() -> int:
-    return next(_job_ids)
-
-
 @dataclass
 class Job:
-    """A submitted job with its lifecycle bookkeeping."""
+    """A submitted job with its lifecycle bookkeeping.  Its ``job_id`` comes
+    from the controller it is submitted to, which counts from 1 in every run."""
 
     spec: JobSpec
-    job_id: int = field(default_factory=_next_job_id)
+    job_id: int
     state: JobState = JobState.PENDING
     submit_time: float = 0.0
     start_time: Optional[float] = None

@@ -9,6 +9,7 @@ per-task launch records the workload runner needs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.slurm.jobs import Job
@@ -33,10 +34,12 @@ class JobLaunch:
 
 
 class Srun:
-    """The job-step launcher."""
+    """The job-step launcher.  It owns the run's pid source: the tasks it
+    launches, on any node, get pids 1000, 1001, ... in launch order."""
 
     def __init__(self, slurmds: dict[str, Slurmd]) -> None:
         self._slurmds = dict(slurmds)
+        self._pids = itertools.count(1000)
 
     def launch(self, job: Job, environ: dict[str, str] | None = None) -> JobLaunch:
         """Launch ``job`` on its allocated nodes (set by slurmctld).
@@ -58,7 +61,7 @@ class Srun:
                 raise KeyError(f"no slurmd registered for node {node_name!r}")
             slurmd = self._slurmds[node_name]
             record = slurmd.launch_job_step(
-                job, first_global_rank=rank, ntasks=tasks_per_node, base_environ=environ
+                job, rank, ntasks=tasks_per_node, base_environ=environ, pids=self._pids
             )
             launch.steps[node_name] = record
             rank += tasks_per_node

@@ -13,6 +13,7 @@ node CPUs among the co-allocated jobs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.cpuset.topology import ClusterTopology
@@ -99,6 +100,7 @@ class Slurmctld:
             for node in cluster.nodes
         }
         self.jobs: dict[int, Job] = {}
+        self._job_ids = itertools.count(1)
 
     # -- submission ----------------------------------------------------------------
 
@@ -129,7 +131,7 @@ class Slurmctld:
                 f"job {spec.name!r} can never be placed: every usable width "
                 f"needs more CPUs per node than the partition's nodes have"
             )
-        job = Job(spec=spec)
+        job = Job(spec=spec, job_id=next(self._job_ids))
         job.mark_submitted(time)
         self.jobs[job.job_id] = job
         self.queue.push(job)

@@ -11,6 +11,7 @@ finish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.core.drom import DromAdmin, attach_admin
 from repro.core.shmem import NodeSharedMemory
@@ -70,13 +71,16 @@ class Slurmd:
         first_global_rank: int,
         ntasks: int | None = None,
         base_environ: dict[str, str] | None = None,
+        *,
+        pids: Iterator[int],
     ) -> StepRecord:
         """Launch the local tasks of ``job`` on this node (Figure 2 flow).
 
         ``ntasks`` is the task count of this node's step; it defaults to the
         spec's nominal ``tasks_per_node`` but srun passes the count implied by
         the actual allocation (shrunk/widened jobs place more/fewer tasks per
-        node than requested).
+        node than requested).  ``pids`` is the run's pid source (owned by
+        :class:`~repro.slurm.launcher.Srun`), one pid per launched task.
         """
         if job.job_id in self._steps:
             raise ValueError(f"job {job.job_id} already has a step on node {self.name}")
@@ -86,7 +90,7 @@ class Slurmd:
             cpus_per_task=job.spec.cpus_per_task,
             malleable=job.spec.malleable,
         )
-        stepd = Slurmstepd(job.job_id, self.name, self.plugin, base_environ)
+        stepd = Slurmstepd(job.job_id, self.name, self.plugin, pids, base_environ)
         launches = stepd.launch_tasks(
             [placement.mask for placement in plan.new_tasks],
             first_global_rank=first_global_rank,

@@ -10,19 +10,11 @@ up the environment, applies the CPU mask computed by the task/affinity plugin
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.cpuset.mask import CpuSet
 from repro.slurm.task_affinity import TaskAffinityPlugin
-
-_pid_counter = itertools.count(1000)
-
-
-def allocate_pid() -> int:
-    """Globally unique fake pid for a launched task."""
-    return next(_pid_counter)
-
 
 @dataclass(frozen=True)
 class TaskLaunch:
@@ -45,11 +37,13 @@ class Slurmstepd:
         job_id: int,
         node_name: str,
         plugin: TaskAffinityPlugin,
+        pids: Iterator[int],
         base_environ: dict[str, str] | None = None,
     ) -> None:
         self.job_id = job_id
         self.node_name = node_name
         self._plugin = plugin
+        self._pids = pids
         self._base_environ = dict(base_environ or {})
         self._launches: list[TaskLaunch] = []
         self._terminated: set[int] = set()
@@ -60,22 +54,20 @@ class Slurmstepd:
         """Apply masks and "exec" the local tasks of this step.
 
         ``task_masks`` comes from the plugin's ``launch_request``; one pid is
-        allocated per task and ``DROM_PreInit`` is called for it, producing the
+        drawn from the step's ``pids`` source per task and ``DROM_PreInit`` is called for it, producing the
         ``next_environ`` the child inherits.
         """
         if self._launches:
             raise RuntimeError(f"step for job {self.job_id} on {self.node_name} already launched")
         launches: list[TaskLaunch] = []
         for index, _mask in enumerate(task_masks):
-            pid = allocate_pid()
+            pid = next(self._pids)
             result = self._plugin.pre_launch(self.job_id, index, pid)
             environ = dict(self._base_environ)
             environ.update(result.next_environ)
             environ["SLURM_JOB_ID"] = str(self.job_id)
             environ["SLURM_PROCID"] = str(first_global_rank + index)
             environ["SLURMD_NODENAME"] = self.node_name
-            placement_mask = self._plugin.job_mask(self.job_id)
-            del placement_mask  # informational only; per-task mask below
             launches.append(
                 TaskLaunch(
                     job_id=self.job_id,

@@ -126,11 +126,7 @@ class ContentStore:
     def __contains__(self, run) -> bool:
         """Whether ``get(run)`` would hit: the cell's entry exists, reads and
         validates.  A stale or corrupt file is not "in" the store."""
-        # The tiers' modules import this one, so the key function is
-        # resolved at call time.
-        from repro.results.store import content_key
-
-        return self._lookup(content_key(run)) is not None
+        return self._lookup(run.key) is not None
 
     # -- reads -------------------------------------------------------------------
 

@@ -164,8 +164,8 @@ class StoreIndex:
         # Fast path: a clean journal parses in one bulk json.loads (the
         # lines joined into an array), several times faster than one loads
         # per line at 10k+ entries.  Any torn tail, blank line or foreign
-        # bytes fail the bulk parse and drop to the skip-bad-lines loop.
-        records: list | None
+        # bytes fail the bulk parse and drop to one loads per line, where a
+        # bad line becomes a ``None`` record: skipped, but still a line.
         stripped = raw.strip()
         try:
             records = (
@@ -174,31 +174,16 @@ class StoreIndex:
                 else []
             )
         except ValueError:
-            records = None
+            records = []
+            for line in raw.splitlines():
+                try:
+                    records.append(json.loads(line))
+                except ValueError:  # torn tail or foreign bytes: skip, never abort
+                    records.append(None)
         state = _State()
         saw_header = False
-        if records is not None:
-            for record in records:
-                state.lines += 1
-                if not isinstance(record, dict):
-                    continue
-                if not saw_header:
-                    if (
-                        record.get("record") != "index"
-                        or record.get("version") != INDEX_VERSION
-                        or record.get("store_version") != self.store_version
-                    ):
-                        return None
-                    saw_header = True
-                    continue
-                self._apply(state, record)
-            return state if saw_header else None
-        for line in raw.splitlines():
+        for record in records:
             state.lines += 1
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail or foreign bytes: skip, never abort
             if not isinstance(record, dict):
                 continue
             if not saw_header:

@@ -7,7 +7,7 @@ Figures 3, 5, 13, 14):
 
 * :mod:`repro.traces.store` — :class:`~repro.traces.store.TraceStore`, a
   second content-addressed store keyed by the **same**
-  :func:`~repro.results.store.content_key` as the metrics tier; each cell
+  :attr:`~repro.campaign.spec.RunSpec.key` as the metrics tier; each cell
   is one gzip-compressed artifact holding the run's full
   :class:`~repro.metrics.tracing.Tracer`.
 * :mod:`repro.traces.query` — the lazy

@@ -5,7 +5,7 @@ compact :class:`~repro.campaign.runner.RunMetrics` row of every campaign
 cell; this module adds the second tier the trace-derived figures (3, 5, 13,
 14) need: every executed run's full :class:`~repro.metrics.tracing.Tracer`
 persists as one gzip-compressed artifact keyed by the **same**
-:func:`~repro.results.store.content_key` as the metrics entry.  The two
+:attr:`~repro.campaign.spec.RunSpec.key` as the metrics entry.  The two
 tiers thus address the same cell by the same hash — a key found in both
 means "this simulation's reporting is fully reconstructable without
 re-simulating".
@@ -66,11 +66,10 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from repro.campaign.spec import RunSpec
+from repro.campaign.spec import RunSpec, spec_from_contents
 from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
 from repro.obs.log import get_logger
 from repro.obs.sched import SchedTimeline
-from repro.results.store import content_key, spec_contents, spec_from_contents
 from repro.store.content import ContentStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
@@ -84,7 +83,7 @@ DEFAULT_TRACE_ROOT = Path("benchmarks") / "results" / "traces"
 #: old artifacts are then cache misses (re-simulated on the next campaign)
 #: and ``gc`` collects them.  The hash inputs are shared with the metrics
 #: tier, so a metrics schema bump that changes
-#: :func:`~repro.results.store.spec_contents` must bump this too.
+#: :attr:`~repro.campaign.spec.RunSpec.contents` must bump this too.
 #:
 #: Version history:
 #:
@@ -492,12 +491,11 @@ class TraceStore(ContentStore):
         except (KeyError, TypeError, ValueError):
             return None
 
-    def get(self, run: RunSpec, key: str | None = None) -> TraceEntry | None:
+    def get(self, run: RunSpec) -> TraceEntry | None:
         """The stored trace of ``run``'s cell, or ``None`` on a miss
         (including unreadable, old-format or otherwise malformed artifacts —
-        a bad cache entry must mean "re-simulate", never abort).  ``key`` is
-        an optional precomputed ``content_key(run)``."""
-        entry = self._lookup(content_key(run) if key is None else key)
+        a bad cache entry must mean "re-simulate", never abort)."""
+        entry = self._lookup(run.key)
         if entry is not None:
             self.index.note_read(entry.key)
         return entry
@@ -510,7 +508,7 @@ class TraceStore(ContentStore):
         pinned to 0, a fixed ``segment_steps`` chunking), so re-puts of the
         same cell write byte-identical artifacts.
         """
-        key = content_key(run)
+        key = run.key
         tracer = result.tracer
         steps = list(tracer)  # canonical (start, job, rank) order
         changes = tracer.mask_changes()
@@ -538,7 +536,7 @@ class TraceStore(ContentStore):
             "record": "run",
             "version": TRACE_FORMAT_VERSION,
             "key": key,
-            "run": spec_contents(run),
+            "run": run.contents,
             "run_id": run.cell_id,
             "scenario": run.scenario,
             "workload": result.workload.name,

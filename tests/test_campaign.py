@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.campaign import (
     CampaignSpec,
@@ -40,6 +49,47 @@ def small_sweep(nworkloads: int = 2, **kwargs) -> CampaignSpec:
     )
     defaults.update(kwargs)
     return CampaignSpec(**defaults)
+
+
+def _fingerprint(run):
+    """Job ids, task pids and metrics row of one fresh execution of ``run``."""
+    from repro.campaign.runner import execute_run, summarise_run
+    from repro.results.store import metrics_to_payload
+
+    result = execute_run(run)
+    return {
+        "job_ids": {label: job.job_id for label, job in result.jobs.items()},
+        "pids": {
+            label: [stats.pid for stats in records]
+            for label, records in result.job_stats.items()
+        },
+        "row": metrics_to_payload(summarise_run(run, result)),
+    }
+
+
+class TestHermeticRuns:
+    def test_ids_and_rows_depend_only_on_the_spec(self):
+        # Job ids and pids come from counters the run's own controller and
+        # launcher own, so neither earlier runs in this process nor the
+        # process itself can shift them.
+        run = small_sweep(1).expand()[1]
+        first = _fingerprint(run)
+        assert first == _fingerprint(run)
+        code = (
+            "import json, sys\n"
+            "from repro.campaign.spec import spec_from_contents\n"
+            + inspect.getsource(_fingerprint)
+            + "print(json.dumps(_fingerprint(spec_from_contents("
+            "json.loads(sys.argv[1])))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(run.contents)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert json.loads(child.stdout) == json.loads(json.dumps(first))
+        assert min(first["job_ids"].values()) == 1
+        assert min(min(pids) for pids in first["pids"].values()) == 1000
 
 
 class TestSpecExpansion:
@@ -234,6 +284,25 @@ class TestSchedulerAxis:
             campaign_cli(["--node-policies", "round-robin"])
         assert exc_info.value.code == 2  # argparse usage error, not a traceback
         assert "unknown node policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--retries", "-1"),
+            ("--backoff", "-1"),
+            ("--cell-timeout", "0"),
+            ("--cell-timeout", "-1"),
+            ("--cell-timeout", "nan"),
+        ],
+    )
+    def test_cli_rejects_bad_numeric_flag_as_usage_error(self, capsys, flag, value):
+        # Checked before any cell runs: a zero timeout used to time out
+        # every cell and burn the retries instead.
+        with pytest.raises(SystemExit) as exc_info:
+            campaign_cli(["--workloads", "1", "--njobs", "2", flag, value])
+        assert exc_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_cli_backfill_sweep(self, capsys):
         code = campaign_cli(

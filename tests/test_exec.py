@@ -300,6 +300,13 @@ class TestOrchestratorFaults:
                 WorkerContext(),
             )
 
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            orchestrate(
+                small_sweep().expand(), [_InProcessExecutor()], timeout=timeout
+            )
+
     def test_retry_budget_exhaustion_raises_with_failures(self):
         class _AlwaysFailing(_InProcessExecutor):
             async def run_cell(self, run):

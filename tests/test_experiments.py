@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.usecase1 import (
-    compare_workload,
     imbalance_trace,
     scenario_timelines,
     simulator_average_response,

@@ -71,7 +71,7 @@ class TestSlurmFigure2Flow:
         srun = Srun(slurmds)
 
         # Job 1 (the "simulation") already runs on both nodes with all CPUs.
-        job1 = Job(spec=JobSpec(name="job1", nodes=2, ntasks=2, cpus_per_task=16))
+        job1 = Job(spec=JobSpec(name="job1", nodes=2, ntasks=2, cpus_per_task=16), job_id=1)
         job1.mark_submitted(0.0)
         job1.mark_started(0.0, ("mn3-0", "mn3-1"))
         launch1 = srun.launch(job1)
@@ -96,7 +96,7 @@ class TestSlurmFigure2Flow:
         assert all(app.num_threads == 16 for app in apps1)
 
         # Job 2 arrives; srun launches it on the same nodes (steps 1-2.1).
-        job2 = Job(spec=JobSpec(name="job2", nodes=2, ntasks=2, cpus_per_task=16))
+        job2 = Job(spec=JobSpec(name="job2", nodes=2, ntasks=2, cpus_per_task=16), job_id=2)
         job2.mark_submitted(10.0)
         job2.mark_started(10.0, ("mn3-0", "mn3-1"))
         launch2 = srun.launch(job2)

@@ -171,6 +171,110 @@ class TestContentKey:
             )
 
 
+    @pytest.mark.parametrize(
+        "run, key",
+        [
+            (
+                RunSpec(
+                    index=3,
+                    scenario=DROM,
+                    workload=SyntheticWorkloadRef(
+                        spec=WorkloadSpec(
+                            njobs=3,
+                            nodes=2,
+                            size_mix=(SizeMixEntry(nodes=2, min_nodes=1, max_nodes=4),),
+                        ),
+                        seed=7,
+                    ),
+                    cluster=ClusterRef(nnodes=4, kind="uniform"),
+                    scheduler=SchedulerRef(backfill=True),
+                ),
+                "28c899ae28d63960cddd99712234c0207820ae650df2d7ae28763fb1243bd135",
+            ),
+            (
+                RunSpec(
+                    index=0,
+                    scenario=SERIAL,
+                    workload=InSituWorkloadRef(
+                        "NEST", "Conf. 1", "Pils", "Conf. 2",
+                        simulator_kwargs=(("malleable", False),),
+                        analytics_nodes=1,
+                    ),
+                    policy=PolicyRef("socket"),
+                    interference_factor=1.2,
+                ),
+                "3621f77eeef730e821c46e4a083d8d6e9a2c6448206c1010cda56cf1540b6673",
+            ),
+            (
+                RunSpec(
+                    index=1,
+                    scenario=DROM,
+                    workload=HighPriorityWorkloadRef(second_submit=60.0),
+                ),
+                "60403bc716e5686f43b777978e589546e8c05bc573e51dbbc26d93fb6bf48c6e",
+            ),
+        ],
+        ids=["synthetic", "insitu", "uc2"],
+    )
+    def test_pinned_keys(self, run, key):
+        # Literal keys: a changed hash input orphans every stored cell, so
+        # moving the codec or caching the key must not move a single one.
+        assert run.key == content_key(run) == key
+        assert spec_from_contents(json.loads(json.dumps(run.contents))).key == key
+
+    def test_identity_is_computed_once_per_spec(self, monkeypatch):
+        import repro.campaign.spec as spec_module
+
+        calls = []
+        real = spec_module.spec_contents
+        monkeypatch.setattr(
+            spec_module, "spec_contents", lambda run: calls.append(run) or real(run)
+        )
+        run = a_run()
+        assert run.key is run.key
+        assert run.contents is run.contents
+        assert calls == [run]
+        # The identity excludes the grid index but is cached per object.
+        moved = dataclasses.replace(run, index=5)
+        assert moved.key == run.key and len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("workload", "seed"),
+            ("workload", "spec", "burst_size"),
+            ("workload", "spec", "size_mix", 0, "max_nodes"),
+            ("workload", "analytics_nodes"),
+            ("cluster", "sockets"),
+            ("scheduler", "node_policy"),
+        ],
+    )
+    @pytest.mark.parametrize("unknown", [False, True], ids=["missing", "unknown"])
+    def test_missing_or_unknown_field_raises(self, path, unknown):
+        # A defaulted or dropped field would bind the stored row to a spec
+        # whose key differs from the one it was stored under.
+        workload = (
+            InSituWorkloadRef("NEST", "Conf. 1", "Pils", "Conf. 2")
+            if path[1] == "analytics_nodes"
+            else SyntheticWorkloadRef(
+                spec=dataclasses.replace(
+                    SMALL, size_mix=(SizeMixEntry(nodes=2, max_nodes=4),)
+                ),
+                seed=1,
+            )
+        )
+        contents = json.loads(json.dumps(a_run(workload=workload).contents))
+        parent = contents
+        for step in path[:-1]:
+            parent = parent[step]
+        if unknown:
+            parent["racks"] = 3
+        else:
+            del parent[path[-1]]
+        with pytest.raises(KeyError):
+            spec_from_contents(contents)
+
+
 class TestResultStore:
     def test_miss_returns_none(self, tmp_path):
         assert ResultStore(tmp_path).get(a_run()) is None

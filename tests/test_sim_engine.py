@@ -333,14 +333,6 @@ class TestEventLog:
     def test_last_of_empty_is_none(self):
         assert EventLog().last() is None
 
-    def test_extend_from_merges_sorted(self):
-        a, b = EventLog(), EventLog()
-        a.append(1.0, "a1")
-        a.append(3.0, "a2")
-        b.append(2.0, "b1")
-        a.extend_from(list(b))
-        assert [e.name for e in a] == ["a1", "b1", "a2"]
-
     def test_events_order_by_time_then_seq(self):
         e1 = Event(time=1.0, seq=0, name="x")
         e2 = Event(time=1.0, seq=1, name="y")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.cpuset.mask import CpuSet
@@ -9,11 +11,10 @@ from repro.cpuset.topology import ClusterTopology
 from repro.slurm.jobs import Job, JobSpec
 from repro.slurm.launcher import Srun
 from repro.slurm.slurmd import Slurmd
-from repro.slurm.slurmstepd import allocate_pid
 
 
-def make_job(name="job", nodes=2, ntasks=2, cpt=16, malleable=True, node_names=("mn3-0", "mn3-1")):
-    job = Job(spec=JobSpec(name=name, nodes=nodes, ntasks=ntasks, cpus_per_task=cpt, malleable=malleable))
+def make_job(name="job", nodes=2, ntasks=2, cpt=16, malleable=True, node_names=("mn3-0", "mn3-1"), job_id=1):
+    job = Job(spec=JobSpec(name=name, nodes=nodes, ntasks=ntasks, cpus_per_task=cpt, malleable=malleable), job_id=job_id)
     job.mark_submitted(0.0)
     job.mark_started(0.0, tuple(node_names[:nodes]))
     return job
@@ -29,7 +30,7 @@ class TestSlurmd:
     def test_launch_job_step_creates_tasks(self, mn3_cluster):
         slurmd = Slurmd(mn3_cluster.nodes[0], drom_enabled=True)
         job = make_job(nodes=1, ntasks=2, cpt=8, node_names=("mn3-0",))
-        record = slurmd.launch_job_step(job, first_global_rank=0)
+        record = slurmd.launch_job_step(job, first_global_rank=0, pids=itertools.count(1000))
         assert len(record.launches) == 2
         assert {t.global_rank for t in record.launches} == {0, 1}
         assert slurmd.used_cpus() == 16
@@ -41,14 +42,14 @@ class TestSlurmd:
     def test_duplicate_step_rejected(self, mn3_cluster):
         slurmd = Slurmd(mn3_cluster.nodes[0])
         job = make_job(nodes=1, ntasks=1, cpt=4, node_names=("mn3-0",))
-        slurmd.launch_job_step(job, 0)
+        slurmd.launch_job_step(job, 0, pids=itertools.count(1000))
         with pytest.raises(ValueError):
-            slurmd.launch_job_step(job, 0)
+            slurmd.launch_job_step(job, 0, pids=itertools.count(1000))
 
     def test_job_step_completed_cleans_up(self, mn3_cluster):
         slurmd = Slurmd(mn3_cluster.nodes[0])
         job = make_job(nodes=1, ntasks=1, cpt=4, node_names=("mn3-0",))
-        record = slurmd.launch_job_step(job, 0)
+        record = slurmd.launch_job_step(job, 0, pids=itertools.count(1000))
         pid = record.launches[0].pid
         assert slurmd.shmem.has(pid)
         assert slurmd.job_step_completed(job.job_id) == {}
@@ -62,7 +63,7 @@ class TestSlurmstepd:
     def test_environment_propagates_preinit_variables(self, mn3_cluster):
         slurmd = Slurmd(mn3_cluster.nodes[0])
         job = make_job(nodes=1, ntasks=1, cpt=8, node_names=("mn3-0",))
-        record = slurmd.launch_job_step(job, first_global_rank=3)
+        record = slurmd.launch_job_step(job, first_global_rank=3, pids=itertools.count(1000))
         launch = record.launches[0]
         assert launch.environ["SLURM_JOB_ID"] == str(job.job_id)
         assert launch.environ["SLURM_PROCID"] == "3"
@@ -73,14 +74,10 @@ class TestSlurmstepd:
     def test_step_terminated_is_idempotent(self, mn3_cluster):
         slurmd = Slurmd(mn3_cluster.nodes[0])
         job = make_job(nodes=1, ntasks=2, cpt=4, node_names=("mn3-0",))
-        record = slurmd.launch_job_step(job, 0)
+        record = slurmd.launch_job_step(job, 0, pids=itertools.count(1000))
         record.stepd.step_terminated()
         assert record.stepd.all_terminated
         record.stepd.step_terminated()  # second call does nothing
-
-    def test_pid_allocation_is_unique(self):
-        pids = {allocate_pid() for _ in range(100)}
-        assert len(pids) == 100
 
 
 class TestSrun:
@@ -94,7 +91,7 @@ class TestSrun:
 
     def test_launch_requires_allocation(self, stack):
         _, srun = stack
-        job = Job(spec=JobSpec(name="x", nodes=1, ntasks=1, cpus_per_task=1))
+        job = Job(spec=JobSpec(name="x", nodes=1, ntasks=1, cpus_per_task=1), job_id=1)
         with pytest.raises(ValueError):
             srun.launch(job)
 
@@ -109,7 +106,7 @@ class TestSrun:
         slurmds, srun = stack
         sim = make_job(name="sim", ntasks=2, cpt=16)
         srun.launch(sim)
-        analytics = make_job(name="analytics", ntasks=2, cpt=16)
+        analytics = make_job(name="analytics", ntasks=2, cpt=16, job_id=2)
         launch2 = srun.launch(analytics)
         # co-allocation shrank the simulation to 8 CPUs per node
         for node in ("mn3-0", "mn3-1"):
@@ -118,6 +115,20 @@ class TestSrun:
         for node in ("mn3-0", "mn3-1"):
             pid = launch2.tasks_on(node)[0].pid
             assert expansions[node][pid] == CpuSet.from_range(0, 16)
+
+    def test_pids_are_unique_per_launcher(self, mn3_cluster):
+        # Srun owns the run's pid source: pids are unique across the run's
+        # nodes and restart at 1000 with every launcher (every run).
+        def launch_two():
+            srun = Srun({n.name: Slurmd(n) for n in mn3_cluster.nodes})
+            launches = [
+                srun.launch(make_job(name=name, ntasks=2, cpt=8, job_id=job_id))
+                for job_id, name in ((1, "a"), (2, "b"))
+            ]
+            return [t.pid for launch in launches for t in launch.tasks()]
+
+        pids = launch_two()
+        assert pids == launch_two() == [1000, 1001, 1002, 1003]
 
     def test_tasks_on_missing_node_is_empty(self, stack):
         _, srun = stack

@@ -119,6 +119,21 @@ class TestJournalCrashSafety:
         fresh = make_index(root)
         assert fresh.scan() == {"aa", "bb", "cc"}
 
+    def test_bad_line_still_counts_as_a_journal_line(self, tmp_path):
+        # Recency ordinals are journal line numbers on either parse path: a
+        # foreign line makes the bulk parse fail, is skipped on the per-line
+        # path, and still shifts the ordinals of every line after it.
+        root = make_store(tmp_path)
+        index = make_index(root)
+        index.scan()
+        clean = index._replay()
+        lines = index.path.read_bytes().splitlines(keepends=True)
+        index.path.write_bytes(b"".join([lines[0], b"\x00 foreign\n", *lines[1:]]))
+        torn = make_index(root)._replay()
+        assert clean.lines == len(lines) and torn.lines == len(lines) + 1
+        assert torn.order == {key: n + 1 for key, n in clean.order.items()}
+        assert torn.entries == clean.entries
+
     def test_missing_journal_rebuilds(self, tmp_path):
         root = make_store(tmp_path)
         index = make_index(root)
