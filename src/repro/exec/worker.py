@@ -17,9 +17,9 @@ request then executes one cell through
 :func:`~repro.campaign.runner.run_cell`, the campaign's one cell body
 (writing the configured store tiers locally — on a shared filesystem that
 *is* the campaign's cache), and responds
-``{"ok": true, "index": ..., "key": ..., "row": {...}}`` with the metrics
-row in the store's exact serialisation, so the driver reconstructs a
-byte-identical :class:`~repro.campaign.runner.RunMetrics`.  A cell that
+``{"ok": true, "index": ..., "row": {...}}`` with the metrics row in the
+store's exact serialisation, so the driver reconstructs a byte-identical
+:class:`~repro.campaign.runner.RunMetrics` (it already holds the spec).  A cell that
 raises responds ``{"ok": false, "index": ..., "error": "..."}`` and the
 worker keeps serving — cell failures are transient, protocol failures (a
 line that is not a JSON request, a non-integer ``index``, an unknown op)
@@ -98,7 +98,7 @@ def serve_stream(stdin: TextIO, stdout: TextIO) -> int:
             respond({"ok": True, "op": "config"})
         elif op == "run":
             try:
-                run, row = _execute_cell(request["run"], index, context)
+                _run, row = _execute_cell(request["run"], index, context)
             except Exception as exc:  # cell failure: report, keep serving
                 respond(
                     {
@@ -108,14 +108,7 @@ def serve_stream(stdin: TextIO, stdout: TextIO) -> int:
                     }
                 )
             else:
-                respond(
-                    {
-                        "ok": True,
-                        "index": index,
-                        "key": run.key,
-                        "row": metrics_to_payload(row),
-                    }
-                )
+                respond({"ok": True, "index": index, "row": metrics_to_payload(row)})
         elif op == "shutdown":
             respond({"ok": True, "op": "shutdown"})
             return 0

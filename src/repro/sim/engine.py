@@ -4,15 +4,19 @@ The engine keeps a priority queue of ``(time, priority, seq, action)`` entries
 and a virtual clock.  Two kinds of actions are supported:
 
 * plain callbacks scheduled with :meth:`SimulationEngine.call_at` /
-  :meth:`SimulationEngine.call_after` / :meth:`SimulationEngine.call_every`;
+  :meth:`SimulationEngine.call_after`;
 * generator-based *processes* spawned with :meth:`SimulationEngine.spawn`.
   A process yields :class:`Timeout` objects (or bare ``float`` delays) to
   advance the clock, another :class:`SimProcess` to join it, or a list of
-  processes to join them all.
+  processes to join them all.  A process's pending timed wake can be moved
+  with :meth:`SimulationEngine.move_wake`; the superseded queue entry is
+  dropped unseen.
 
 Determinism: ties in time are broken by an explicit priority and then by a
 monotonically increasing sequence number, so two runs of the same scenario
-produce identical event orders.
+produce identical event orders.  :attr:`SimulationEngine.current_priority`
+exposes the priority of the event being dispatched, so a callback can tell
+whether a same-instant wake of some process comes before or after it.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ class SimProcess:
         "finished_at",
         "priority",
         "_waiters",
+        "_wake",
     )
 
     def __init__(
@@ -109,6 +114,9 @@ class SimProcess:
         #: same-time wakes identically.
         self.priority = priority
         self._waiters: list[Callable[[Any], None]] = []
+        #: Sequence number of the pending timed wake (Timeout / WakeAt /
+        #: delay), or None; identifies the queue entry move_wake cancels.
+        self._wake: int | None = None
 
     def __repr__(self) -> str:
         state = "finished" if self.finished else "running"
@@ -169,6 +177,9 @@ class SimulationEngine:
         self._processes: list[SimProcess] = []
         self._running = False
         self._executed = 0
+        #: Sequence numbers of queue entries superseded by move_wake.
+        self._cancelled: set[int] = set()
+        self._priority = 0
 
     # -- clock ------------------------------------------------------------
 
@@ -176,6 +187,16 @@ class SimulationEngine:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def current_priority(self) -> int:
+        """Priority of the event being dispatched (or last dispatched).
+
+        Together with :attr:`now` it places the running callback in the
+        engine's total order: a wake of a process with priority ``q`` at
+        instant ``t`` ran before it iff ``(t, q) < (now, current_priority)``.
+        """
+        return self._priority
 
     # -- scheduling callbacks ----------------------------------------------
 
@@ -200,30 +221,6 @@ class SimulationEngine:
         if delay < 0:
             raise SimulationError("delay must be non-negative")
         self.call_at(self._now + delay, callback, *args, priority=priority)
-
-    def call_every(
-        self,
-        interval: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        until: float | None = None,
-        priority: int = 0,
-    ) -> None:
-        """Run ``callback(*args)`` every ``interval`` seconds.
-
-        The first invocation happens one interval from now; invocations stop
-        once the clock passes ``until`` (if given) or the queue drains.
-        """
-        if interval <= 0:
-            raise SimulationError("interval must be positive")
-
-        def tick() -> None:
-            if until is not None and self._now > until:
-                return
-            callback(*args)
-            self.call_after(interval, tick, priority=priority)
-
-        self.call_after(interval, tick, priority=priority)
 
     # -- processes ----------------------------------------------------------
 
@@ -250,7 +247,25 @@ class SimulationEngine:
     def _resume(self, process: SimProcess, value: Any) -> None:
         self.call_at(self._now, self._step, process, value, priority=process.priority)
 
+    def move_wake(self, process: SimProcess, time: float) -> None:
+        """Move ``process``'s pending timed wake to absolute ``time``.
+
+        The old queue entry is cancelled: it never runs and never advances
+        the clock.  The new wake keeps the process's priority.
+        """
+        if process._wake is None:
+            raise SimulationError(f"process {process.name!r} has no pending wake")
+        self._cancelled.add(process._wake)
+        self._wake_at(process, time)
+
+    def _wake_at(self, process: SimProcess, time: float) -> None:
+        process._wake = self._seq
+        self.call_at(
+            max(time, self._now), self._step, process, None, priority=process.priority
+        )
+
     def _step(self, process: SimProcess, send_value: Any) -> None:
+        process._wake = None
         if process.finished:
             return
         try:
@@ -271,18 +286,15 @@ class SimulationEngine:
             # Cooperative reschedule at the same instant (after pending events).
             self.call_at(self._now, self._step, process, None, priority=priority)
         elif isinstance(yielded, Timeout):
-            self.call_after(yielded.delay, self._step, process, None, priority=priority)
+            self._wake_at(process, self._now + yielded.delay)
         elif isinstance(yielded, WakeAt):
-            self.call_at(
-                max(yielded.time, self._now), self._step, process, None,
-                priority=priority,
-            )
+            self._wake_at(process, yielded.time)
         elif isinstance(yielded, (int, float)) and not isinstance(yielded, bool):
             if yielded < 0:
                 raise SimulationError(
                     f"process {process.name!r} yielded a negative delay ({yielded})"
                 )
-            self.call_after(float(yielded), self._step, process, None, priority=priority)
+            self._wake_at(process, self._now + float(yielded))
         elif isinstance(yielded, SimProcess):
             yielded.on_finish(lambda value: self._resume(process, value))
         elif isinstance(yielded, (list, tuple)) and all(
@@ -323,6 +335,7 @@ class SimulationEngine:
             raise SimulationError("engine is already running")
         self._running = True
         queue = self._queue
+        cancelled = self._cancelled
         executed = 0
         try:
             while queue:
@@ -332,8 +345,13 @@ class SimulationEngine:
                     self._now = until
                     break
                 heapq.heappop(queue)
+                # A superseded wake is dropped before it can move the clock.
+                if cancelled and entry[2] in cancelled:
+                    cancelled.discard(entry[2])
+                    continue
                 if time > self._now:
                     self._now = time
+                self._priority = entry[1]
                 entry[3](*entry[4])
                 executed += 1
         finally:
@@ -348,32 +366,16 @@ class SimulationEngine:
         """Total events dispatched so far (the perf harness's events/sec)."""
         return self._executed
 
-    def peek(self) -> float | None:
-        """Time of the next pending event, or ``None`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else None
-
-    def next_event_time(self) -> float | None:
-        """Time of the next pending event, or ``None`` if the queue is empty.
-
-        The skip-ahead primitive: a process deciding how far it may batch
-        uninterrupted work can compare candidate wake instants against the
-        next externally-visible instant of the simulation.  Note the result
-        may equal :attr:`now` — events at the current instant (with pending
-        sequence numbers) still count as external.
-        """
-        return self._queue[0][0] if self._queue else None
-
     def advance_until(self, time: float) -> WakeAt:
-        """Token for a bounded skip-ahead: ``yield engine.advance_until(t)``.
+        """Token for an absolute sleep: ``yield engine.advance_until(t)``.
 
         The process sleeps until the absolute instant ``t`` (clamped to
         ``now``), landing on exactly that float — no delay re-addition.
-        Events scheduled before ``t`` still run at their own times; the
-        caller is responsible for choosing a ``t`` it may legally sleep
-        through (typically bounded by :meth:`next_event_time`).
+        Events scheduled before ``t`` still run at their own times; the wake
+        can be brought forward with :meth:`move_wake`.
         """
         return WakeAt(time)
 
     def pending(self) -> int:
-        """Number of queued events."""
-        return len(self._queue)
+        """Number of queued events (cancelled wakes excluded)."""
+        return len(self._queue) - len(self._cancelled)

@@ -25,7 +25,7 @@ Two scenarios are provided, matching Section 6:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
@@ -41,7 +41,7 @@ from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
 from repro.obs.sched import ClusterProbe, SchedTimeline
 from repro.runtime.mpi import MpiCommunicator
 from repro.runtime.process import ApplicationProcess, ProcessSpec, ThreadModel
-from repro.sim.engine import SimulationEngine, Timeout
+from repro.sim.engine import SimProcess, SimulationEngine, Timeout
 from repro.slurm.jobs import Job, JobSpec
 from repro.slurm.launcher import JobLaunch, Srun
 from repro.slurm.slurmd import Slurmd
@@ -71,6 +71,10 @@ class JobExecution:
     launch: JobLaunch
     comm: MpiCommunicator
     ranks: list[RankExecution] = field(default_factory=list)
+    #: The job's executor process (its priority is the launch sequence).
+    process: SimProcess | None = None
+    #: The batch in flight (batched fast path), None between batches.
+    batch: "_Batch | None" = None
 
     @property
     def label(self) -> str:
@@ -161,12 +165,14 @@ class ScenarioRunner:
         Forwarded to :class:`~repro.slurm.slurmctld.Slurmctld`: jobs behind a
         blocked job may start if they fit.
     batching:
-        True (the default) runs the batched fast path: stretches of steps
-        that provably cannot observe a mask change, a scheduler event or a
-        co-runner change are priced per uniform segment and advanced with a
-        single engine wake, emitting the same per-step records on wake.
-        False runs the one-yield-per-step reference loop.  Both paths
-        produce byte-identical metrics, traces and stored artifacts — the
+        True (the default) runs the batched fast path: each job prices
+        its whole remaining run and sleeps to its natural end.  Its steps
+        are recorded lazily — when a statistics read of one of its nodes
+        needs them, or at its wake — and the batch is cut only when one of
+        its own inputs changes: a mask write to one of its pids, or (with
+        ``interference``) a co-runner change on one of its nodes.  False
+        runs the one-yield-per-step reference loop.  Both paths produce
+        byte-identical metrics, traces and stored artifacts — the
         ``bench_perf_core`` harness gates every release on it.
     """
 
@@ -220,6 +226,41 @@ class ScenarioRunner:
         )
 
 
+class _Batch:
+    """A running job's priced remaining run, settled lazily.
+
+    Prices every remaining step under the inputs frozen at the batch start.
+    ``bounds[j]`` and ``bounds[j + 1]`` delimit step ``j``: the left fold
+    ``accumulate`` computes is the exact ``now + duration`` chain the engine
+    clock performs when the reference loop sleeps one step at a time.
+    Steps ``[0, done)`` have been emitted; the batch's wake lands at
+    ``bounds[end]``.
+    """
+
+    __slots__ = (
+        "masks", "per_rank", "step_durations", "bounds", "balanced", "done", "end"
+    )
+
+    def __init__(
+        self,
+        masks: list[CpuSet],
+        per_rank: list[list[float]],
+        step_durations: list[float],
+        start: float,
+    ) -> None:
+        self.masks = masks
+        self.per_rank = per_rank
+        self.step_durations = step_durations
+        self.bounds = list(accumulate(step_durations, initial=start))
+        #: Per rank: never the laggard, so every step's scale is exactly 1.0.
+        self.balanced = [
+            durations is step_durations or durations == step_durations
+            for durations in per_rank
+        ]
+        self.done = 0
+        self.end = len(step_durations)
+
+
 class _RunState:
     """Mutable state of one scenario execution (one engine, one SLURM stack)."""
 
@@ -258,18 +299,15 @@ class _RunState:
         #: Batched wakes of the fast path (stays 0 in the reference loop).
         self.batches_executed = 0
         # -- batching bookkeeping (see _execute_batched) ------------------
-        #: Submit instants not yet fired, ascending — static fences.
-        self._pending_submits: list[float] = []
-        #: job_id -> lower bound on the next instant this job can cause a
-        #: side effect others observe (its completion).  A batch may never
-        #: sleep past another job's fence or a pending submit.
-        self._fences: dict[int, float] = {}
-        #: job_id -> the wake instant of the job's currently running batch.
-        self._batch_end: dict[int, float] = {}
+        #: pid -> running execution, for the shared-memory mask observer.
+        self._by_pid: dict[int, JobExecution] = {}
         #: Per-run launch sequence; used as the engine wake priority of each
         #: job's executor so same-instant wakes interleave identically no
         #: matter how (or whether) their sleeps were batched.
         self._launch_seq = 0
+        if runner.batching:
+            for slurmd in self.slurmds.values():
+                slurmd.shmem.add_observer(self._on_mask_write)
 
     def _resolve_node_policy(self, policy):
         """Build a by-name node policy against this run's statistics."""
@@ -280,6 +318,10 @@ class _RunState:
         return build_node_policy(policy, self._node_utilisation)
 
     def _node_utilisation(self, name: str) -> float | None:
+        # A stats read: the steps that passed before it must be recorded.
+        for execution in self.executions.values():
+            if name in execution.job.allocated_nodes:
+                self._settle(execution, cut=False)
         summary = self.stats[name].node_summary()
         return summary.utilisation if summary.nprocesses else None
 
@@ -288,11 +330,8 @@ class _RunState:
     def start(self) -> None:
         for wjob in self.workload.jobs:
             self.engine.call_at(wjob.submit_time, self._submit, wjob)
-            self._pending_submits.append(max(wjob.submit_time, 0.0))
-        self._pending_submits.sort()
 
     def _submit(self, wjob: WorkloadJob) -> None:
-        self._pending_submits.remove(self.engine.now)
         # Per-job resource request: explicit on the workload job, or the app
         # configuration spread over the workload's default node count.
         request = wjob.resource_request(self.workload.nodes)
@@ -315,21 +354,13 @@ class _RunState:
     def _schedule_pass(self) -> None:
         for decision in self.ctld.schedule(self.engine.now):
             self._launch(decision.job)
-        # A pass may have written new masks (DROM repartitioning).  A running
-        # batch priced its steps under the old masks; that is fine — its wake
-        # is its next poll — but its *completion fence* may now be stale (an
-        # expansion finishes the job earlier than advertised).  Clamp every
-        # fence to the job's next wake: the executor re-publishes an exact
-        # fence there, and nobody sleeps past an instant that may now matter.
-        for job_id, batch_end in self._batch_end.items():
-            if batch_end < self._fences.get(job_id, batch_end):
-                self._fences[job_id] = batch_end
 
     # -- launching --------------------------------------------------------------------------
 
     def _launch(self, job: Job) -> None:
         wjob = self.workload_jobs_by_id[job.job_id]
         launch = self.srun.launch(job)
+        self._co_runners_changed(job)
         comm = MpiCommunicator(size=job.spec.ntasks, job_id=job.job_id)
         execution = JobExecution(workload_job=wjob, job=job, launch=launch, comm=comm)
 
@@ -360,18 +391,15 @@ class _RunState:
                     plan=plans[task.global_rank],
                 )
             )
+            self._by_pid[task.pid] = execution
         self.executions[job.job_id] = execution
-        # Until the executor's first decision (an immediate event), the job
-        # may do anything "now": a conservative fence no batch can cross.
-        self._fences[job.job_id] = self.engine.now
-        self._batch_end[job.job_id] = self.engine.now
         self._launch_seq += 1
         body = (
             self._execute_batched(execution)
             if self.runner.batching
             else self._execute(execution)
         )
-        self.engine.spawn(
+        execution.process = self.engine.spawn(
             body,
             name=f"job-{job.job_id}-{wjob.label}",
             priority=self._launch_seq,
@@ -469,49 +497,31 @@ class _RunState:
                 self.steps_advanced += 1
         self._complete(execution)
 
-    def _batch_horizon(self, job_id: int) -> float | None:
-        """Earliest instant an *external* side effect may occur, or None.
-
-        A batch for ``job_id`` may extend to this instant (inclusive) but
-        never past it: pending submits and other jobs' completions are the
-        only events that write masks, change co-runner sets or read the
-        statistics modules.  Other jobs' intermediate wakes are inert — they
-        only append trace/stats records nobody reads mid-flight — so they do
-        not bound the batch, which is what lets co-running jobs skip ahead
-        together instead of leapfrogging one step at a time.
-        """
-        horizon = self._pending_submits[0] if self._pending_submits else None
-        for other_id, fence in self._fences.items():
-            if other_id == job_id:
-                continue
-            if horizon is None or fence < horizon:
-                horizon = fence
-        return horizon
-
     def _execute_batched(self, execution: JobExecution):
         """Batched step advancement: the fast path of :meth:`_execute`.
 
-        Each loop iteration prices as many upcoming steps as provably fit
-        before the batch horizon (masks, interference and stats readers
-        cannot change inside the window), sleeps once to the final step
-        boundary, then emits on wake exactly the records the single-step
-        reference loop would have emitted step by step — same floats, same
+        Each batch prices every remaining step under the inputs it polls at
+        its start (masks, interference) and sleeps once, to the job's
+        natural end.  Nothing is recorded until it is needed:
+        :meth:`_settle` records the steps that have passed when an event
+        reads them and cuts the batch when an event changes one of its
+        inputs; the wake records the rest.  The records are the ones the
+        single-step reference loop appends — same floats, same
         accumulation order, byte-identical artifacts.
         """
         model = execution.model
         total_ranks = execution.job.spec.ntasks
-        engine = self.engine
-        job_id = execution.job.job_id
-        label = execution.label
         ranks = execution.ranks
-        partition = model.profile.partition
-        trace = self.trace
+        # A pid's statistics record is created by its first emission, and a
+        # node summary sums the records in creation order.  Where a node
+        # policy may read the statistics, the first batch ends after one
+        # step, so records are created in the reference loop's order.
+        first = isinstance(self.runner.node_policy, str)
         while not execution.finished():
             if model.malleable:
                 for rank in ranks:
                     rank.process.poll_malleability()
 
-            # Frozen batch inputs (can only change at fence events).
             masks = [rank.process.current_mask for rank in ranks]
             interferences = [self._interference(execution, rank) for rank in ranks]
             remaining = min(rank.plan.remaining_steps for rank in ranks)
@@ -530,223 +540,187 @@ class _RunState:
                 step_durations = per_rank[0]
             else:
                 step_durations = list(map(max, zip(*per_rank)))
-
-            # Choose the batch size: the longest prefix of step boundaries
-            # that stays *strictly before* the horizon; at least one step.
-            # The boundaries are the left fold ``accumulate`` computes —
-            # the exact "now + duration" addition chain the engine clock
-            # performs when the reference loop sleeps one step at a time.
-            # Strictness matters: an event exactly at the batch wake runs
-            # first (priority 0 beats every executor), and in the reference
-            # loop it would observe the statistics of every earlier step of
-            # the window — so those steps must already be recorded, i.e. the
-            # batch must wake before the event.  The single forced step that
-            # reaches or crosses the horizon is exactly what the reference
-            # loop does: mask writes land mid-step and are seen on wake.
-            horizon = self._batch_horizon(job_id)
-            batch_start = engine.now
-            boundaries = list(accumulate(step_durations, initial=batch_start))
-            del boundaries[0]
-            if horizon is None:
-                k = remaining
-            else:
-                # Count of boundaries strictly before the horizon; a forced
-                # single step when even the first one reaches it.
-                k = bisect_left(boundaries, horizon) or 1
-            # Publish this job's completion fence — the full fold, exact
-            # under the current masks; shrinks only delay it, and expansions
-            # clamp it back to the batch wake at the event that writes them
-            # (_schedule_pass).
-            completion = boundaries[-1]
-            del boundaries[k:]
-            batch_end = boundaries[-1]
-            self._fences[job_id] = completion
-            self._batch_end[job_id] = batch_end
+            batch = _Batch(masks, per_rank, step_durations, self.engine.now)
+            execution.batch = batch
+            if first:
+                first = False
+                batch.end = 1
             self.batches_executed += 1
 
-            yield engine.advance_until(batch_end)
+            yield self.engine.advance_until(batch.bounds[batch.end])
 
-            # On wake, emit what the reference loop would have recorded at
-            # each intermediate boundary.
-            for rank, mask, interference, durations in zip(
-                ranks, masks, interferences, per_rank
-            ):
-                nthreads = mask.count()
-                utilisation = partition.thread_utilisation(
-                    rank.plan.initial_threads, nthreads
-                )
-                if not partition.is_static:
-                    utilisation = [1.0] * nthreads
-                busy_fraction = sum(utilisation)
-                plan = rank.plan
-                base = plan.next_step
+            execution.batch = None
+            self._emit(execution, batch, batch.end, wake=True)
+        self._complete(execution)
+
+    def _settle(self, execution: JobExecution, cut: bool) -> None:
+        """Bring ``execution``'s batch up to the event being dispatched.
+
+        Records the steps the reference loop has already recorded: those
+        whose end boundary ``b`` has ``(b, priority) < (now, current
+        priority)`` in the engine's order.  With ``cut`` the batch's wake
+        moves to the end of the step that crosses the event, where the
+        executor polls and prices again — the reference loop's next step.
+        """
+        batch = execution.batch
+        if batch is None:
+            return
+        engine = self.engine
+        now = engine.now
+        bounds = batch.bounds
+        # bounds[1:] are the step ends: count those that have passed.
+        if execution.process.priority < engine.current_priority:
+            passed = bisect_right(bounds, now, 1) - 1
+        else:
+            passed = bisect_left(bounds, now, 1) - 1
+        if passed > batch.done:
+            self._emit(execution, batch, passed, wake=False)
+        if cut and passed + 1 < batch.end:
+            batch.end = passed + 1
+            engine.move_wake(execution.process, bounds[batch.end])
+
+    def _on_mask_write(self, pid: int, mask: CpuSet) -> None:
+        """Shared-memory observer: a mask write cuts the owning job's batch."""
+        execution = self._by_pid.get(pid)
+        if execution is not None:
+            self._settle(execution, cut=True)
+
+    def _co_runners_changed(self, job: Job) -> None:
+        """``job`` started or ended (and is not in :attr:`executions`): cut
+        the batches of the jobs sharing one of its nodes, when interference
+        makes their step times depend on the co-runner set."""
+        if self.runner.interference is None:
+            return
+        nodes = set(job.allocated_nodes)
+        for execution in self.executions.values():
+            if not nodes.isdisjoint(execution.job.allocated_nodes):
+                self._settle(execution, cut=True)
+
+    def _emit(
+        self, execution: JobExecution, batch: _Batch, upto: int, wake: bool
+    ) -> None:
+        """Record steps ``[batch.done, upto)`` of every rank and advance.
+
+        Appends exactly the step records and statistics entries the
+        reference loop appends at each of those steps' wakes.  ``wake``
+        marks the batch's own wake: the reference loop reads the mask again
+        after each sleep, and only the final step of a batch can observe a
+        different one (the step crossing a mask write, where a process whose
+        runtime reads the shared memory directly sees the newly assigned
+        mask at once), so that step is re-derived from the wake-time mask.
+        """
+        model = execution.model
+        partition = model.profile.partition
+        label = execution.label
+        done = batch.done
+        count = upto - done
+        step_durations = batch.step_durations
+        bounds = batch.bounds
+        for rank, mask, durations, balanced in zip(
+            execution.ranks, batch.masks, batch.per_rank, batch.balanced
+        ):
+            plan = rank.plan
+            initial_threads = plan.initial_threads
+            nthreads = mask.count()
+            utilisation = partition.thread_utilisation(initial_threads, nthreads)
+            if not partition.is_static:
+                utilisation = [1.0] * nthreads
+            busy_fraction = sum(utilisation)
+            # Ranks that finish a step early idle in MPI until the laggard
+            # catches up; a balanced rank's scale is exactly 1.0 throughout.
+            scales = None
+            if not balanced:
+                scales = [
+                    duration / step_duration if step_duration > 0 else 1.0
+                    for duration, step_duration in zip(
+                        durations[done:upto], step_durations[done:upto]
+                    )
+                ]
+            records: list[StepRecord] = []
+            if self.trace:
+                # Step j of the batch is plan step ``offset + j``.
+                offset = plan.next_step - done
                 steps = plan.steps
                 rank_no = rank.rank
                 node_name = rank.node.name
-                initial_threads = plan.initial_threads
-                records: list[StepRecord] = []
-                append_record = records.append
-                stats_entries: list[tuple[float, float, int, float]] = []
-                append_stats = stats_entries.append
+                last_scale = 1.0
+                scaled_utilisation = tuple(u * 1.0 for u in utilisation)
                 ipc_by_phase: dict[int, float] = {}
-                balanced = durations is step_durations or durations == step_durations
-                if balanced:
-                    # This rank is never the laggard: every scale is exactly
-                    # 1.0, so records share one utilisation tuple (``u * 1.0``
-                    # is bit-identical to ``u``) and the stats entries of an
-                    # equal-duration segment are one shared tuple.
-                    scaled_utilisation = tuple(u * 1.0 for u in utilisation)
-                    if trace:
-                        start = batch_start
-                        for j in range(k):
-                            step = steps[base + j]
-                            phase = step.phase
-                            ipc = ipc_by_phase.get(id(phase))
-                            if ipc is None:
-                                ipc = model.step_ipc_for_phase(
-                                    phase, mask, rank.node, initial_threads
-                                )
-                                ipc_by_phase[id(phase)] = ipc
-                            append_record(
-                                StepRecord(
-                                    label,
-                                    rank_no,
-                                    node_name,
-                                    start,
-                                    step_durations[j],
-                                    phase.name,
-                                    nthreads,
-                                    scaled_utilisation,
-                                    ipc,
-                                    step.work_units,
-                                )
-                            )
-                            start = boundaries[j]
-                    j = 0
-                    while j < k:
-                        step_duration = step_durations[j]
-                        seg = j + 1
-                        while seg < k and step_durations[seg] == step_duration:
-                            seg += 1
-                        busy_thread_seconds = busy_fraction * step_duration
-                        entry = (
-                            busy_thread_seconds,
-                            max(
-                                0.0,
-                                nthreads * step_duration - busy_thread_seconds,
-                            ),
+                for j in range(done, upto):
+                    step = steps[offset + j]
+                    if scales is not None and scales[j - done] != last_scale:
+                        last_scale = scales[j - done]
+                        scaled_utilisation = tuple(
+                            u * last_scale for u in utilisation
+                        )
+                    phase = step.phase
+                    ipc = ipc_by_phase.get(id(phase))
+                    if ipc is None:
+                        ipc = model.step_ipc_for_phase(
+                            phase, mask, rank.node, initial_threads
+                        )
+                        ipc_by_phase[id(phase)] = ipc
+                    records.append(
+                        StepRecord(
+                            label,
+                            rank_no,
+                            node_name,
+                            bounds[j],
+                            step_durations[j],
+                            phase.name,
                             nthreads,
-                            step_duration,
+                            scaled_utilisation,
+                            ipc,
+                            step.work_units,
                         )
-                        if seg - j == 1:
-                            append_stats(entry)
-                        else:
-                            stats_entries.extend([entry] * (seg - j))
-                        j = seg
-                else:
-                    last_scale: float | None = None
-                    scaled_utilisation = ()
-                    start = batch_start
-                    for j in range(k):
-                        step_duration = step_durations[j]
-                        duration = durations[j]
-                        scale = (
-                            duration / step_duration if step_duration > 0 else 1.0
-                        )
-                        if trace:
-                            step = steps[base + j]
-                            if scale != last_scale:
-                                scaled_utilisation = tuple(
-                                    u * scale for u in utilisation
-                                )
-                                last_scale = scale
-                            phase_key = id(step.phase)
-                            ipc = ipc_by_phase.get(phase_key)
-                            if ipc is None:
-                                ipc = model.step_ipc_for_phase(
-                                    step.phase, mask, rank.node, initial_threads
-                                )
-                                ipc_by_phase[phase_key] = ipc
-                            append_record(
-                                StepRecord(
-                                    label,
-                                    rank_no,
-                                    node_name,
-                                    start,
-                                    step_duration,
-                                    step.phase.name,
-                                    nthreads,
-                                    scaled_utilisation,
-                                    ipc,
-                                    step.work_units,
-                                )
-                            )
-                        busy_thread_seconds = busy_fraction * scale * step_duration
-                        append_stats(
-                            (
-                                busy_thread_seconds,
-                                max(
-                                    0.0,
-                                    nthreads * step_duration - busy_thread_seconds,
-                                ),
-                                nthreads,
-                                step_duration,
-                            )
-                        )
-                        start = boundaries[j]
-                # The reference loop reads the mask again *after* each yield;
-                # only the final step of a batch can observe a different one
-                # (a forced single step crossing an event, where a process
-                # whose runtime reads the shared memory directly sees the
-                # newly assigned mask immediately).  Re-derive the last
-                # record and stats entry from the wake-time mask when so.
-                wake_mask = rank.process.current_mask
-                if wake_mask != mask:
-                    j = k - 1
+                    )
+            stats_entries: list[tuple[float, float, int, float]] = []
+            if scales is None:
+                # Equal-duration segments share one stats entry tuple.
+                j = done
+                while j < upto:
                     step_duration = step_durations[j]
-                    scale = (
-                        durations[j] / step_duration if step_duration > 0 else 1.0
-                    )
-                    nthreads = wake_mask.count()
-                    utilisation = partition.thread_utilisation(
-                        plan.initial_threads, nthreads
-                    )
-                    if not partition.is_static:
-                        utilisation = [1.0] * nthreads
-                    busy = sum(utilisation) * scale * step_duration
-                    if records:
-                        last = records[-1]
-                        records[-1] = StepRecord(
-                            job=last.job,
-                            rank=last.rank,
-                            node=last.node,
-                            start=last.start,
-                            duration=last.duration,
-                            phase=last.phase,
-                            nthreads=nthreads,
-                            thread_utilisation=tuple(u * scale for u in utilisation),
-                            ipc=model.step_ipc_for_phase(
-                                steps[base + j].phase,
-                                wake_mask,
-                                rank.node,
-                                plan.initial_threads,
-                            ),
-                            work_units=last.work_units,
-                        )
-                    stats_entries[-1] = (
-                        busy,
-                        max(0.0, nthreads * step_duration - busy),
-                        nthreads,
-                        step_duration,
-                    )
+                    seg = j + 1
+                    while seg < upto and step_durations[seg] == step_duration:
+                        seg += 1
+                    busy = busy_fraction * step_duration
+                    entry = _stats_entry(busy, nthreads, step_duration)
+                    stats_entries.extend([entry] * (seg - j))
+                    j = seg
+            else:
+                for step_duration, scale in zip(step_durations[done:upto], scales):
+                    busy = busy_fraction * scale * step_duration
+                    stats_entries.append(_stats_entry(busy, nthreads, step_duration))
+            wake_mask = rank.process.current_mask if wake else mask
+            if wake_mask != mask:
+                j = upto - 1
+                step_duration = step_durations[j]
+                scale = 1.0 if scales is None else scales[-1]
+                nthreads = wake_mask.count()
+                utilisation = partition.thread_utilisation(initial_threads, nthreads)
+                if not partition.is_static:
+                    utilisation = [1.0] * nthreads
                 if records:
-                    self.tracer.record_steps(records)
-                self.stats[node_name].record_compute_batch(
-                    rank.process.spec.pid, stats_entries
-                )
-                plan.advance_many(k)
-                self.steps_advanced += k
-        self._complete(execution)
+                    records[-1] = records[-1]._replace(
+                        nthreads=nthreads,
+                        thread_utilisation=tuple(u * scale for u in utilisation),
+                        ipc=model.step_ipc_for_phase(
+                            plan.steps[plan.next_step + count - 1].phase,
+                            wake_mask,
+                            rank.node,
+                            initial_threads,
+                        ),
+                    )
+                busy = sum(utilisation) * scale * step_duration
+                stats_entries[-1] = _stats_entry(busy, nthreads, step_duration)
+            if records:
+                self.tracer.record_steps(records)
+            self.stats[rank.node.name].record_compute_batch(
+                rank.process.spec.pid, stats_entries
+            )
+            plan.advance_many(count)
+            self.steps_advanced += count
+        batch.done = upto
 
     def _interference(self, execution: JobExecution, rank: RankExecution) -> float:
         if self.runner.interference is None:
@@ -763,6 +737,8 @@ class _RunState:
 
     def _complete(self, execution: JobExecution) -> None:
         job = execution.job
+        for rank in execution.ranks:
+            del self._by_pid[rank.process.spec.pid]
         # Snapshot the DROM statistics before the processes unregister.
         snapshots: list[ProcessStats] = []
         for rank in execution.ranks:
@@ -783,8 +759,16 @@ class _RunState:
         self.srun.terminate(job)
         self.ctld.job_completed(job.job_id, self.engine.now)
         del self.executions[job.job_id]
-        self._fences.pop(job.job_id, None)
-        self._batch_end.pop(job.job_id, None)
+        self._co_runners_changed(job)
         # Freed resources may let queued jobs start (the Serial scenario's
         # analytics job starts here).
         self._schedule_pass()
+
+
+def _stats_entry(
+    busy: float, nthreads: int, seconds: float
+) -> tuple[float, float, int, float]:
+    """One step's ``record_compute_batch`` entry: useful and idle
+    thread-seconds, CPUs owned and seconds (the reference loop's
+    ``record_compute`` + ``record_ownership`` arguments)."""
+    return (busy, max(0.0, nthreads * seconds - busy), nthreads, seconds)

@@ -1,7 +1,6 @@
-"""Engine edge cases: periodic-callback boundaries, kill-while-joined,
-yield validation, horizon semantics, and the skip-ahead API added for the
-batched fast path (``WakeAt`` / ``next_event_time`` / ``advance_until`` /
-per-process wake priorities)."""
+"""Engine edge cases: kill-while-joined, yield validation, horizon semantics,
+and the API the batched fast path relies on (``WakeAt`` / ``advance_until``,
+per-process wake priorities, movable wakes and the dispatching priority)."""
 
 from __future__ import annotations
 
@@ -14,30 +13,6 @@ from repro.sim.engine import (
     Timeout,
     WakeAt,
 )
-
-
-class TestCallEveryUntilBoundary:
-    def test_tick_exactly_at_until_still_fires(self):
-        engine = SimulationEngine()
-        ticks = []
-        engine.call_every(1.0, lambda: ticks.append(engine.now), until=3.0)
-        engine.run()
-        # The tick landing exactly on the boundary runs; the next one does not.
-        assert ticks == [1.0, 2.0, 3.0]
-
-    def test_until_between_ticks_drops_the_next_tick(self):
-        engine = SimulationEngine()
-        ticks = []
-        engine.call_every(1.0, lambda: ticks.append(engine.now), until=2.5)
-        engine.run()
-        assert ticks == [1.0, 2.0]
-
-    def test_until_before_first_tick_fires_nothing(self):
-        engine = SimulationEngine()
-        ticks = []
-        engine.call_every(2.0, lambda: ticks.append(engine.now), until=1.0)
-        engine.run()
-        assert ticks == []
 
 
 class TestKillWhileJoined:
@@ -145,14 +120,6 @@ class TestRunUntilHorizon:
 
 
 class TestSkipAheadApi:
-    def test_next_event_time_peeks_the_queue(self):
-        engine = SimulationEngine()
-        assert engine.next_event_time() is None
-        engine.call_at(3.0, lambda: None)
-        engine.call_at(7.0, lambda: None)
-        assert engine.next_event_time() == 3.0
-        assert engine.peek() == engine.next_event_time()
-
     def test_advance_until_returns_a_wake_token(self):
         engine = SimulationEngine()
         token = engine.advance_until(4.5)
@@ -243,3 +210,112 @@ class TestSpawnPriorities:
         assert "running" in repr(process)
         engine.run()
         assert "finished" in repr(process)
+
+
+class TestMoveWake:
+    def test_moved_wake_runs_once_at_the_new_instant(self):
+        engine = SimulationEngine()
+        woke = []
+
+        def sleeper():
+            yield WakeAt(10.0)
+            woke.append(engine.now)
+
+        process = engine.spawn(sleeper(), name="sleeper")
+        engine.call_at(2.0, lambda: engine.move_wake(process, 4.0))
+        engine.run()
+        assert woke == [4.0]
+
+    def test_cancelled_wake_never_moves_the_clock(self):
+        # The superseded entry at t=10 is still queued when the process
+        # finishes at t=4; popping it must not advance the clock to 10.
+        engine = SimulationEngine()
+
+        def sleeper():
+            yield WakeAt(10.0)
+
+        process = engine.spawn(sleeper(), name="sleeper")
+        engine.call_at(2.0, lambda: engine.move_wake(process, 4.0))
+        assert engine.run() == 4.0
+        assert engine.now == 4.0
+        assert process.finished_at == 4.0
+        assert engine.pending() == 0
+
+    def test_cancelled_wake_is_not_dispatched(self):
+        engine = SimulationEngine()
+
+        def sleeper():
+            yield Timeout(10.0)
+
+        process = engine.spawn(sleeper(), name="sleeper")
+        engine.call_at(1.0, lambda: engine.move_wake(process, 3.0))
+        engine.run()
+        # spawn step + the moved wake + the mover callback; not the stale one.
+        assert engine.events_executed == 3
+
+    def test_wake_can_move_later_and_keeps_its_priority(self):
+        engine = SimulationEngine()
+        order = []
+
+        def sleeper(label):
+            yield WakeAt(2.0)
+            order.append((engine.now, label))
+
+        late = engine.spawn(sleeper("late"), name="late", priority=1)
+        engine.spawn(sleeper("other"), name="other", priority=2)
+        engine.call_at(1.0, lambda: engine.move_wake(late, 5.0))
+        engine.call_at(5.0, lambda: order.append((engine.now, "event")))
+        engine.run()
+        assert order == [(2.0, "other"), (5.0, "event"), (5.0, "late")]
+
+    def test_moving_without_a_pending_wake_is_an_error(self):
+        engine = SimulationEngine()
+
+        def waiter(target):
+            yield target
+
+        def sleeper():
+            yield Timeout(5.0)
+
+        target = engine.spawn(sleeper(), name="target")
+        joiner = engine.spawn(waiter(target), name="joiner")
+        engine.run(until=1.0)
+        with pytest.raises(SimulationError, match="no pending wake"):
+            engine.move_wake(joiner, 2.0)
+
+
+class TestCurrentPriority:
+    def test_reports_the_priority_of_the_dispatched_event(self):
+        engine = SimulationEngine()
+        seen = []
+
+        def worker():
+            yield Timeout(1.0)
+            seen.append(("wake", engine.current_priority))
+
+        engine.spawn(worker(), name="worker", priority=7)
+        engine.call_at(1.0, lambda: seen.append(("event", engine.current_priority)))
+        engine.call_at(
+            1.0, lambda: seen.append(("late", engine.current_priority)), priority=9
+        )
+        engine.run()
+        assert seen == [("event", 0), ("wake", 7), ("late", 9)]
+
+    def test_orders_a_same_instant_wake_against_the_running_event(self):
+        # (t, q) < (now, current_priority) tells whether a wake of priority
+        # q at instant t has already run when the event is dispatched.
+        engine = SimulationEngine()
+        checks = []
+
+        def worker():
+            yield Timeout(1.0)
+
+        engine.spawn(worker(), name="worker", priority=5)
+
+        def check():
+            checks.append((1.0, 5) < (engine.now, engine.current_priority))
+
+        engine.call_at(1.0, check, priority=3)
+        engine.call_at(1.0, check, priority=6)
+        engine.run()
+        assert checks == [False, True]

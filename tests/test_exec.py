@@ -616,6 +616,35 @@ class TestWorkerProtocol:
         assert rows == serial_result.rows
         assert len(ResultStore(tmp_path / "store")) == len(runs)
 
+    def test_stream_mode_without_tiers_never_keys_a_cell(self, monkeypatch):
+        """The driver holds the spec, so a response carries no key: a worker
+        with no store tier to address neither keys nor canonicalises."""
+        import repro.campaign.spec as spec_module
+
+        calls = []
+        for name in ("spec_contents", "content_key"):
+            original = getattr(spec_module, name)
+
+            def counted(run, _original=original, _name=name):
+                calls.append(_name)
+                return _original(run)
+
+            monkeypatch.setattr(spec_module, name, counted)
+        runs = small_sweep().expand()
+        payloads = [spec_contents(r) for r in runs]
+        calls.clear()
+        code, responses = self._stream(
+            [{"op": "config"}]
+            + [
+                {"op": "run", "index": r.index, "run": payload}
+                for r, payload in zip(runs, payloads)
+            ]
+            + [{"op": "shutdown"}]
+        )
+        assert code == 0
+        assert all(set(resp) == {"ok", "index", "row"} for resp in responses[1:-1])
+        assert calls == []
+
     def test_stream_mode_cell_failure_keeps_serving(self):
         run = small_sweep().expand()[0]
         bad = dict(spec_contents(run), scenario="not-a-scenario")

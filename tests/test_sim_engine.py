@@ -104,24 +104,11 @@ class TestCallbacks:
         engine.run()
         assert seen == ["boundary", "just after"]
 
-    def test_peek_and_pending(self):
+    def test_pending_counts_queued_events(self):
         engine = SimulationEngine()
-        assert engine.peek() is None
+        assert engine.pending() == 0
         engine.call_at(4.0, lambda: None)
-        assert engine.peek() == 4.0
         assert engine.pending() == 1
-
-    def test_call_every_repeats_until_limit(self):
-        engine = SimulationEngine()
-        ticks = []
-        engine.call_every(10.0, lambda: ticks.append(engine.now), until=45.0)
-        engine.run(until=100.0)
-        assert ticks == [10.0, 20.0, 30.0, 40.0]
-
-    def test_call_every_requires_positive_interval(self):
-        engine = SimulationEngine()
-        with pytest.raises(SimulationError):
-            engine.call_every(0.0, lambda: None)
 
 
 class TestProcesses:
@@ -294,7 +281,12 @@ class TestProcesses:
 
             engine.spawn(proc("x", 1.5))
             engine.spawn(proc("y", 2.0))
-            engine.call_every(1.0, lambda: log.append((engine.now, "tick", -1)), until=5.0)
+            def tick():
+                log.append((engine.now, "tick", -1))
+                if engine.now < 5.0:
+                    engine.call_after(1.0, tick)
+
+            engine.call_after(1.0, tick)
             engine.run()
             return log
 
